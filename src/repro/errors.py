@@ -96,7 +96,7 @@ class StaleTopologyError(ReproError):
     """A request asserted a topology epoch the router has moved past.
 
     Carries ``code = "stale-topology"``.  The reply header already holds
-    the current epoch, so a v2 client refreshes and retries transparently
+    the current epoch, so a client refreshes and retries transparently
     — callers only ever see this if retries are exhausted.
     """
 

@@ -4,8 +4,8 @@ The storage stack built in PRs 2-4 (buffer pool, WAL group commit,
 batched executors, the writer-preferring latch) only pays off at scale
 if concurrent requests can reach it.  This subpackage is that reach:
 
-* :mod:`repro.server.protocol` — a length-prefixed, versioned binary
-  wire protocol carrying JSON payloads;
+* :mod:`repro.server.protocol` — a length-prefixed binary wire
+  protocol: one frame layout, tagged binary payloads;
 * :mod:`repro.server.server` — :class:`QueryServer`, an asyncio TCP
   server multiplexing client sessions onto one
   :class:`~repro.core.facade.MultiKeyFile` through the store's
@@ -23,7 +23,7 @@ if concurrent requests can reach it.  This subpackage is that reach:
   the ``STATS`` opcode and asserted by the ``served`` bench cell;
 * :mod:`repro.server.shard` — :class:`ShardManager`, range-partitioning
   the z-order keyspace into per-process shard workers;
-* :mod:`repro.server.router` — :class:`ShardRouter`, the protocol-v2
+* :mod:`repro.server.router` — :class:`ShardRouter`, the epoch-fenced
   scatter-gather front end over the shard workers;
 * :mod:`repro.server.migrate` — :class:`ShardMigrator`, online shard
   split/merge under live traffic (committed-window tailing, fenced
@@ -37,15 +37,10 @@ from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_MAX,
-    SUPPORTED_VERSIONS,
     Frame,
     Opcode,
     encode_frame,
-    decode_body,
     decode_frame,
-    negotiated_version,
-    read_frame,
 )
 from repro.server.migrate import ShardMigrator
 from repro.server.router import RouterMetrics, ShardRouter
@@ -69,15 +64,10 @@ __all__ = [
     "RouterMetrics",
     "MAX_FRAME",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_MAX",
-    "SUPPORTED_VERSIONS",
     "Frame",
     "Opcode",
     "encode_frame",
-    "decode_body",
     "decode_frame",
-    "negotiated_version",
-    "read_frame",
     "QueryServer",
     "ShardManager",
     "ShardMigrator",

@@ -1,19 +1,18 @@
-"""Protocol v3 payload bodies: tagged binary with a JSON escape hatch.
+"""Frame payload bodies: one format byte, then a tagged binary object.
 
-A v3 frame's payload starts with one *format byte*:
+A frame's payload starts with one *format byte*; ``0x02`` is the only
+format — the payload object in the tagged binary encoding of
+:mod:`repro.storage.binval`, with pickle disabled in both directions (a
+frame crossed a trust boundary, so the pickle tag is refused rather
+than executed).  A value outside that tagged universe cannot be
+encoded, and any other format byte cannot be decoded; both fail with a
+structured ``bad-payload`` error.
 
-* ``0x02`` — the payload object in the tagged binary encoding of
-  :mod:`repro.storage.binval` (pickle disabled in both directions: a
-  frame crossed a trust boundary, so the pickle tag is refused rather
-  than executed);
-* ``0x01`` — UTF-8 JSON, exactly the v1/v2 body.  The encoder falls
-  back to this when a payload holds a value outside the tagged
-  universe, so v3 never loses expressiveness over v2 — it only stops
-  paying ``json.dumps``/``loads`` per hot operation.
-
-This module and :mod:`repro.server.protocol` are the only service-layer
-files allowed to touch :mod:`json` (lint rule REP107): every other
-server module is on the hot path and must go through these codecs.
+This module and :mod:`repro.server.shard` (the on-disk topology file)
+are the only service-layer files allowed to touch :mod:`json` (rule
+REP107): every other server module is on the hot path.  The JSON here
+is :func:`canonical_blob`, the migration digest's record encoding,
+never wire traffic.
 """
 
 from __future__ import annotations
@@ -26,40 +25,35 @@ from repro.storage import binval
 
 Buffer = Union[bytes, bytearray, memoryview]
 
-#: Payload format bytes (an empty payload has no body at all).
-FORMAT_JSON = 0x01
+#: The payload format byte (an empty payload has no body at all).
 FORMAT_BINARY = 0x02
 
 
 def encode_payload(payload: Any) -> bytes:
-    """One v3 payload body: format byte + encoded object."""
+    """One payload body: format byte + encoded object."""
     out = bytearray(1)
     out[0] = FORMAT_BINARY
     try:
         binval.encode_into(out, payload, pickle_fallback=False)
-    except SerializationError:
-        return b"\x01" + json.dumps(
-            payload, separators=(",", ":")
-        ).encode("utf-8")
+    except SerializationError as exc:
+        raise ProtocolError(
+            f"unencodable payload: {exc}", code="bad-payload"
+        ) from None
     return bytes(out)
 
 
 def decode_payload(raw: Buffer) -> Any:
     """Invert :func:`encode_payload`; raises ``bad-payload`` on garbage."""
-    try:
-        fmt = raw[0]
-        if fmt == FORMAT_BINARY:
-            return binval.decode(raw[1:], allow_pickle=False)
-        if fmt == FORMAT_JSON:
-            return json.loads(bytes(raw[1:]).decode("utf-8"))
-    except (SerializationError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    if raw[0] != FORMAT_BINARY:
         raise ProtocolError(
-            f"undecodable v3 payload: {exc}", code="bad-payload"
+            f"unknown payload format byte {raw[0]:#x}", code="bad-payload"
+        )
+    try:
+        return binval.decode(raw[1:], allow_pickle=False)
+    except SerializationError as exc:
+        raise ProtocolError(
+            f"undecodable payload: {exc}", code="bad-payload"
         ) from None
-    raise ProtocolError(
-        f"unknown v3 payload format byte {fmt:#x}", code="bad-payload"
-    )
 
 
 def canonical_blob(key: Any, value: Any) -> bytes:

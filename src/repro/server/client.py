@@ -20,10 +20,10 @@ Long-lived connections are first-class:
   before indexing — a malformed ``REPLY_OK`` surfaces as a structured
   :class:`~repro.errors.ProtocolError` (``bad-payload``), never a raw
   ``TypeError``/``KeyError``;
-* after :meth:`negotiate` the client speaks protocol v2 against a
-  sharding router: every reply header updates the cached topology epoch,
-  every data request echoes it, and a ``stale-topology`` rejection is
-  retried transparently with the refreshed epoch.
+* against a sharding router every reply header updates the cached
+  topology epoch, every data request echoes it, and a
+  ``stale-topology`` rejection is retried transparently with the
+  refreshed epoch.
 """
 
 from __future__ import annotations
@@ -115,12 +115,9 @@ class QueryClient:
         self._pending: dict[int, asyncio.Future] = {}
         self._next_id = 0
         self._closed = False
-        #: Protocol version used for outgoing frames; raised to the
-        #: highest shared version (2 or 3) by :meth:`negotiate`.
-        self._version = 1
         #: Frame-size cap agreed at negotiation (None = protocol default).
         self._max_frame: int | None = None
-        #: Last topology epoch seen in any v2+ reply header (0 = none).
+        #: Last topology epoch seen in any reply header (0 = none).
         self._epoch = 0
         #: Outgoing frames buffered for one coalesced ``write()`` per
         #: loop tick — a pipelined gather burst becomes one syscall on
@@ -141,11 +138,6 @@ class QueryClient:
         if negotiate:
             await client.negotiate()
         return client
-
-    @property
-    def protocol_version(self) -> int:
-        """The frame version this client currently speaks (1, 2 or 3)."""
-        return self._version
 
     @property
     def max_frame(self) -> int:
@@ -237,8 +229,8 @@ class QueryClient:
                     )
                     return
                 frame = protocol.decode_frame(body)
-                if frame.version >= 2 and frame.epoch:
-                    # Every v2 reply refreshes the topology epoch — the
+                if frame.epoch:
+                    # Every reply refreshes the topology epoch — the
                     # stale-topology retry path depends on the rejection
                     # itself having already delivered the new epoch.
                     self._epoch = frame.epoch
@@ -307,18 +299,18 @@ class QueryClient:
         if self._closed:
             raise ConnectionError("client is closed")
         request_id = self._allocate_id()
+        # Encode before registering: a payload that cannot be framed
+        # (unencodable, oversized) raises without leaving a pending id.
+        frame = protocol.encode_frame(
+            opcode,
+            request_id,
+            payload,
+            epoch=self._epoch,
+            max_frame=self._max_frame,
+        )
         future: asyncio.Future = self._loop.create_future()
         self._pending[request_id] = future
-        self._send_frame(
-            protocol.encode_frame(
-                opcode,
-                request_id,
-                payload,
-                version=self._version,
-                epoch=self._epoch,
-                max_frame=self._max_frame,
-            )
-        )
+        self._send_frame(frame)
         transport = self._writer.transport
         if (
             transport is not None
@@ -327,24 +319,18 @@ class QueryClient:
             await self._writer.drain()
         return await future
 
-    # Kept as the historical private name; tests and subclasses reach it.
-    _request = request
-
-    # -- version negotiation --------------------------------------------------
+    # -- negotiation ----------------------------------------------------------
 
     async def negotiate(self) -> int:
-        """Agree on the highest shared protocol version with the peer.
+        """Adopt the peer's advertised frame-size cap.
 
-        Sends a v1 ``PING`` (every server speaks v1) and inspects the
-        advertised ``versions`` list.  Returns the agreed version and
-        switches this connection to it for all subsequent frames; a
-        peer that advertises a ``max_frame`` also fixes this
-        connection's frame-size cap in both directions.
+        Sends a ``PING``; a peer that advertises a ``max_frame`` fixes
+        this connection's frame-size cap in both directions.  Returns
+        the cap now in force.
         """
         reply = await self._request_once(Opcode.PING)
-        self._version = protocol.negotiated_version(reply)
         self._max_frame = protocol.negotiated_max_frame(reply)
-        return self._version
+        return self._max_frame
 
     # -- the MultiKeyFile API, served ---------------------------------------
 
@@ -416,7 +402,7 @@ class QueryClient:
             )
         return reply
 
-    # -- routing introspection (protocol v2) ----------------------------------
+    # -- routing introspection ------------------------------------------------
 
     async def topology(self) -> dict:
         """The peer's shard topology (a plain server reports one shard)."""
@@ -457,9 +443,7 @@ class QueryClient:
     async def repl(self, action: str, **fields: Any) -> dict:
         """One REPL stream-control request (``hello``/``checkpoint``/
         ``tail``/``bye`` — see
-        :meth:`repro.server.server.QueryServer._repl`).  Page images are
-        raw bytes, so the connection must have negotiated protocol v3.
-        """
+        :meth:`repro.server.server.QueryServer._repl`)."""
         reply = await self.request(Opcode.REPL, {"action": action, **fields})
         if not isinstance(reply, dict):
             raise ProtocolError(

@@ -1,42 +1,40 @@
-"""The wire protocol: length-prefixed, versioned binary frames.
+"""The wire protocol: length-prefixed binary frames.
 
-Version 1 frame layout (all integers little-endian)::
+Every frame has one layout (all integers little-endian)::
 
     u32  body length                  (frame = 4-byte prefix + body)
-    u8   protocol version             (1)
+    u8   protocol version             (3)
     u8   opcode                       (Opcode)
     u32  request id                   (client-chosen; echoed in replies)
-    ...  payload                      (UTF-8 JSON, possibly empty)
-
-Version 2 inserts a topology epoch between the request id and the
-payload::
-
-    u32  body length
-    u8   protocol version             (2)
-    u8   opcode
-    u32  request id
     u32  topology epoch               (0 = "not asserting an epoch")
-    ...  payload
+    ...  payload                      (optional: format byte + body)
+
+The payload, when present, starts with a format byte — ``0x02``, the
+tagged binary encoding of :mod:`repro.server.binpayload` — so no frame
+pays ``json.dumps``/``loads``.  A frame carrying any other version byte
+is rejected with ``bad-version``, a payload with any other format byte
+with ``bad-payload``; both replies are structured and the stream keeps
+serving.
 
 The epoch is the sharding layer's staleness fence: a
 :class:`~repro.server.router.ShardRouter` stamps every reply with its
-current topology epoch, and a v2 client echoes the last epoch it saw on
+current topology epoch, and a client echoes the last epoch it saw on
 each data request.  A request carrying a stale non-zero epoch is
 rejected with ``stale-topology`` — the error reply's header already
 carries the new epoch, so the client refreshes and retries without a
 round trip.  Servers that do not shard (a plain ``QueryServer``) run at
-epoch 0 and never reject.  Both endpoints speak both versions; the
-:func:`negotiated_version` helper picks the highest shared one from a
-``PING`` reply's ``versions`` list.
+epoch 0 and never reject.
 
 The length prefix counts the body (version byte onward) and is capped at
 :data:`MAX_FRAME`; a larger claim is rejected before any allocation — a
-garbage prefix must never buffer gigabytes.  Requests and replies share
-the layout; a reply echoes the request id and carries either
-:attr:`Opcode.REPLY_OK` with a result object or :attr:`Opcode.REPLY_ERR`
-with a structured ``{"code", "message"}`` payload.  JSON keeps the
-payloads debuggable and covers every value the
-:class:`~repro.encoding.KeyCodec` attribute types round-trip through.
+garbage prefix must never buffer gigabytes.  A ``PING`` reply advertises
+``max_frame``, the server's frame-body cap; after
+:meth:`~repro.server.client.QueryClient.negotiate` both endpoints frame
+and accept bodies up to that size instead of the default.  Requests and
+replies share the layout; a reply echoes the request id and carries
+either :attr:`Opcode.REPLY_OK` with a result object or
+:attr:`Opcode.REPLY_ERR` with a structured ``{"code", "message"}``
+payload.
 
 Pipelining: a client may send any number of frames before reading
 replies (bounded by the server's per-session limit); replies may arrive
@@ -51,16 +49,6 @@ never fatal, never queued unboundedly on the server.  ``shard-down``
 and ``stale-topology`` are the routing layer's structured failures:
 the first is a dead upstream surfaced instead of a hang, the second is
 handled transparently by the client as described above.
-
-Version 3 keeps the v2 header and replaces the payload *encoding*: the
-body after the header starts with a format byte — ``0x02`` for the
-tagged binary encoding of :mod:`repro.server.binpayload`, ``0x01`` for
-the JSON fallback — so the hot operations stop paying
-``json.dumps``/``loads`` per frame while anything the binary codec
-cannot carry still travels as JSON.  A ``PING`` reply additionally
-advertises ``max_frame``, the server's frame-body cap; after
-negotiation both endpoints frame and accept bodies up to that size
-instead of the default :data:`MAX_FRAME`.
 """
 
 from __future__ import annotations
@@ -68,7 +56,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import enum
-import json
 import struct
 from typing import Any
 
@@ -89,12 +76,8 @@ from repro.errors import (
 # from this module.
 from repro.server import binpayload
 
-PROTOCOL_VERSION = 1
-#: Highest protocol version this build speaks (v2 adds the epoch field
-#: and the TOPOLOGY/ROUTE opcodes; v3 adds binary payload bodies).
-PROTOCOL_VERSION_MAX = 3
-#: Every version both endpoints of this build can frame.
-SUPPORTED_VERSIONS: tuple[int, ...] = (1, 2, 3)
+#: The one frame version every endpoint encodes and accepts.
+PROTOCOL_VERSION = 3
 #: Default cap on a frame body; larger length prefixes are garbage.
 #: Endpoints may negotiate a different cap (the server's ``max_frame``
 #: config, advertised in its PING reply) — every framing entry point
@@ -102,8 +85,7 @@ SUPPORTED_VERSIONS: tuple[int, ...] = (1, 2, 3)
 MAX_FRAME = 1 << 20
 
 _LEN = struct.Struct("<I")
-_HEAD = struct.Struct("<BBI")  # v1: version, opcode, request id
-_HEAD2 = struct.Struct("<BBII")  # v2: version, opcode, request id, epoch
+_HEAD = struct.Struct("<BBII")  # version, opcode, request id, epoch
 _ID_LIMIT = 1 << 32  # request ids and epochs are u32 on the wire
 
 
@@ -122,7 +104,7 @@ class Opcode(enum.IntEnum):
     TOPOLOGY = 10
     ROUTE = 11
     MIGRATE = 12
-    #: Replication stream control (v3): ``hello`` attaches a WAL tap
+    #: Replication stream control: ``hello`` attaches a WAL tap
     #: and reports the checkpoint size, ``checkpoint`` pages committed
     #: images to a bootstrapping follower, ``tail`` drains committed
     #: batches, ``bye`` detaches.  Read-side: never enters the write
@@ -183,35 +165,21 @@ def encode_frame(
     request_id: int,
     payload: Any = None,
     *,
-    version: int = PROTOCOL_VERSION,
     epoch: int = 0,
     max_frame: int | None = None,
 ) -> bytes:
     """Serialize one frame (length prefix included).
 
-    ``version=1`` produces the legacy header; ``version=2`` appends the
-    topology ``epoch``; ``version=3`` keeps the v2 header and encodes
-    the payload through :mod:`repro.server.binpayload`.  Request ids
-    and epochs must fit ``u32``.  ``max_frame`` overrides the default
-    body cap when the endpoints negotiated one.
+    Request ids and epochs must fit ``u32``.  ``max_frame`` overrides
+    the default body cap when the endpoints negotiated one.
     """
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"cannot encode protocol version {version}", code="bad-version"
-        )
     if not 0 <= request_id < _ID_LIMIT:
         raise ProtocolError(
             f"request id {request_id} outside [0, 2^32)", code="bad-frame"
         )
-    if version == 1:
-        body = _HEAD.pack(version, opcode, request_id)
-    else:
-        body = _HEAD2.pack(version, opcode, request_id, epoch % _ID_LIMIT)
+    body = _HEAD.pack(PROTOCOL_VERSION, opcode, request_id, epoch % _ID_LIMIT)
     if payload is not None:
-        if version >= 3:
-            body += binpayload.encode_payload(payload)
-        else:
-            body += json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body += binpayload.encode_payload(payload)
     limit = MAX_FRAME if max_frame is None else max_frame
     if len(body) > limit:
         raise ProtocolError(
@@ -227,7 +195,6 @@ def encode_error(
     code: str,
     message: str,
     *,
-    version: int = PROTOCOL_VERSION,
     epoch: int = 0,
     max_frame: int | None = None,
 ) -> bytes:
@@ -236,7 +203,6 @@ def encode_error(
         Opcode.REPLY_ERR,
         request_id,
         {"code": code, "message": message},
-        version=version,
         epoch=epoch,
         max_frame=max_frame,
     )
@@ -246,7 +212,6 @@ def encode_error(
 class Frame:
     """One decoded frame body."""
 
-    version: int
     opcode: int
     request_id: int
     payload: Any
@@ -254,80 +219,39 @@ class Frame:
 
 
 def decode_frame(body: bytes) -> Frame:
-    """Parse a frame body of any supported version.
+    """Parse a frame body.
 
     Raises :class:`~repro.errors.ProtocolError` (with a structured code)
-    on a truncated header, an unknown version, or an undecodable
+    on a truncated header, a foreign version byte, or an undecodable
     payload.  An unknown-but-well-formed opcode is returned as-is — the
     dispatcher replies ``bad-opcode`` at the request level, keeping the
     stream usable.
     """
     if len(body) < 1:
         raise ProtocolError("empty frame body", code="bad-frame")
-    version = body[0]
-    if version not in SUPPORTED_VERSIONS:
+    if body[0] != PROTOCOL_VERSION:
         raise ProtocolError(
-            f"protocol version {version} is not supported "
-            f"(this endpoint speaks {list(SUPPORTED_VERSIONS)})",
+            f"protocol version {body[0]} is not supported "
+            f"(this endpoint speaks {PROTOCOL_VERSION})",
             code="bad-version",
         )
-    head = _HEAD if version == 1 else _HEAD2
-    if len(body) < head.size:
+    if len(body) < _HEAD.size:
         raise ProtocolError(
             f"frame body of {len(body)} bytes is shorter than the "
-            f"{head.size}-byte v{version} header",
+            f"{_HEAD.size}-byte header",
             code="bad-frame",
         )
-    epoch = 0
-    if version == 1:
-        _, opcode, request_id = _HEAD.unpack_from(body, 0)
-    else:
-        _, opcode, request_id, epoch = _HEAD2.unpack_from(body, 0)
-    raw = body[head.size :]
-    payload: Any = None
-    if raw:
-        if version >= 3:
-            payload = binpayload.decode_payload(raw)
-        else:
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"undecodable frame payload: {exc}", code="bad-payload"
-                ) from None
-    return Frame(version, opcode, request_id, payload, epoch)
-
-
-def decode_body(body: bytes) -> tuple[int, int, Any]:
-    """Parse a frame body into ``(opcode, request_id, payload)``.
-
-    The version-1-era entry point, kept for callers that predate the
-    epoch field; it accepts any supported version and drops the epoch.
-    """
-    frame = decode_frame(body)
-    return frame.opcode, frame.request_id, frame.payload
-
-
-def negotiated_version(ping_reply: Any) -> int:
-    """The highest protocol version shared with a peer, from its ``PING``
-    reply.  A peer that does not advertise ``versions`` is a v1 server.
-    """
-    if not isinstance(ping_reply, dict):
-        return 1
-    advertised = ping_reply.get("versions")
-    if not isinstance(advertised, list):
-        return 1
-    shared = [
-        v for v in advertised if isinstance(v, int) and v in SUPPORTED_VERSIONS
-    ]
-    return max(shared, default=1)
+    _, opcode, request_id, epoch = _HEAD.unpack_from(body, 0)
+    raw = body[_HEAD.size :]
+    payload = binpayload.decode_payload(raw) if raw else None
+    return Frame(opcode, request_id, payload, epoch)
 
 
 def negotiated_max_frame(ping_reply: Any) -> int:
     """The frame-body cap a peer advertises in its ``PING`` reply.
 
     A peer that advertises nothing (or garbage) runs at the default
-    :data:`MAX_FRAME` — exactly what every pre-v3 build enforces.
+    :data:`MAX_FRAME`.
     """
     if not isinstance(ping_reply, dict):
         return MAX_FRAME
@@ -340,12 +264,13 @@ def negotiated_max_frame(ping_reply: Any) -> int:
 class FrameReader:
     """Buffered frame splitter for a connection's read loop.
 
-    :func:`read_frame` suspends twice per frame (prefix, body); under a
-    pipelined burst the peer delivers many frames per TCP segment, so a
-    per-connection buffer turns those suspensions into one ``read()``
-    per segment and plain slicing per frame.  Error semantics match
-    :func:`read_frame` exactly: ``None`` on clean EOF at a frame
-    boundary, ``bad-frame`` on truncation, ``oversized`` past the cap.
+    Under a pipelined burst the peer delivers many frames per TCP
+    segment, so a per-connection buffer turns them into one ``read()``
+    per segment and plain slicing per frame.  Returns ``None`` on a
+    clean EOF at a frame boundary; raises ``bad-frame`` on a zero
+    length or a mid-frame truncation and ``oversized`` past the cap —
+    the connection cannot be resynced after either, so the session
+    replies once and closes.
     """
 
     __slots__ = ("_reader", "_buf", "_pos")
@@ -398,41 +323,6 @@ class FrameReader:
                     code="bad-frame",
                 )
             buf += chunk
-
-
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame: int | None = None
-) -> bytes | None:
-    """Read one frame body from the stream.
-
-    Returns ``None`` on a clean EOF at a frame boundary.  Raises
-    :class:`~repro.errors.ProtocolError` on an oversized or zero length
-    prefix or a mid-frame truncation — the connection cannot be resynced
-    after either, so the session replies once and closes.  ``max_frame``
-    overrides the default body cap when the endpoints negotiated one.
-    """
-    limit = MAX_FRAME if max_frame is None else max_frame
-    try:
-        # readexactly, not read(n): a length prefix may straddle a TCP
-        # segment boundary (routine once peers batch many frames into
-        # one write), and a short read here is not a protocol error.
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF at a frame boundary
-        raise ProtocolError(
-            "truncated length prefix", code="bad-frame"
-        ) from None
-    (length,) = _LEN.unpack(prefix)
-    if length == 0 or length > limit:
-        raise ProtocolError(
-            f"frame length {length} outside (0, {limit}]",
-            code="oversized" if length else "bad-frame",
-        )
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("truncated frame body", code="bad-frame") from None
 
 
 # -- payload field validation -------------------------------------------------

@@ -23,10 +23,10 @@ shard worker and dispatches by z value:
   z-ascending merge — the network analogue of the parallel scanner's
   ordered reduction.
 
-The router speaks protocol v2 with its clients.  Its topology epoch
-stamps every reply header; a data request asserting a stale epoch is
-rejected with ``stale-topology`` (the rejection itself carries the new
-epoch, so clients retry transparently).  A dead worker surfaces as a
+The router's topology epoch stamps every reply header; a data request
+asserting a stale epoch is rejected with ``stale-topology`` (the
+rejection itself carries the new epoch, so clients retry
+transparently).  A dead worker surfaces as a
 structured ``shard-down`` error after one bounded reconnect attempt —
 never a hang — while the remaining shards keep serving.
 
@@ -71,7 +71,6 @@ from repro.server.protocol import (
     MAX_FRAME,
     MUTATION_OPCODES,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     Opcode,
     field,
     key_field,
@@ -143,9 +142,8 @@ class _ShardLink:
                 return
             reconnecting = self._client is not None
             try:
-                # Negotiated links: a worker that speaks v3 serves the
-                # router's forwarded traffic (and the migration copy
-                # stream riding these links) in binary payloads.
+                # Negotiated links adopt the worker's frame cap for the
+                # forwarded traffic and the migration copy stream.
                 self._client = await asyncio.wait_for(
                     QueryClient.connect(
                         self.spec.host, self.spec.port, negotiate=True
@@ -621,7 +619,6 @@ class ShardRouter:
             return {
                 "pong": True,
                 "version": PROTOCOL_VERSION,
-                "versions": list(SUPPORTED_VERSIONS),
                 "max_frame": self.max_frame,
                 "role": "router",
                 "shards": len(self._links),

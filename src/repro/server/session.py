@@ -22,9 +22,10 @@ mark so a slow client cannot balloon server memory.
 
 The error discipline is the fuzz suite's contract:
 
-* a malformed-but-framed request (bad version, unknown opcode, bad
-  payload) gets a structured ``REPLY_ERR`` and the stream continues —
-  frame boundaries are intact, so the next frame is readable;
+* a malformed-but-framed request (foreign version byte, unknown
+  opcode, bad payload) gets a structured ``REPLY_ERR`` and the stream
+  continues — frame boundaries are intact, so the next frame is
+  readable;
 * an unframeable byte stream (garbage length prefix, oversized claim,
   mid-frame truncation) gets one final structured error and the
   connection closes — there is no way to resync;
@@ -34,10 +35,9 @@ The error discipline is the fuzz suite's contract:
 
 Sessions are shared between :class:`~repro.server.server.QueryServer`
 and :class:`~repro.server.router.ShardRouter` — anything satisfying the
-:class:`ServesSessions` protocol.  Replies are framed in the version the
-request arrived in; v2+ replies carry the server's current topology
-epoch, which is how a router pushes topology changes to its clients for
-free.
+:class:`ServesSessions` protocol.  Every reply carries the server's
+current topology epoch, which is how a router pushes topology changes
+to its clients for free.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class ServesSessions(Protocol):
 
     @property
     def epoch(self) -> int:
-        """Current topology epoch, stamped into every v2+ reply."""
+        """Current topology epoch, stamped into every reply."""
         ...
 
     async def dispatch(
@@ -160,30 +160,19 @@ class Session:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _send(self, frame: bytes) -> None:
-        self._send_soon(frame)
-
-    def _reply_error(
-        self, request_id: int, code: str, message: str, version: int = 1
-    ) -> None:
+    def _reply_error(self, request_id: int, code: str, message: str) -> None:
         self._server.metrics.replies_err += 1
         self._send_soon(
             protocol.encode_error(
                 request_id,
                 code,
                 message,
-                version=version,
                 epoch=self._server.epoch,
                 max_frame=self._max_frame,
             )
         )
 
-    async def _send_error(
-        self, request_id: int, code: str, message: str, version: int = 1
-    ) -> None:
-        self._reply_error(request_id, code, message, version)
-
-    def _reply_ok(self, request_id: int, result: Any, version: int) -> None:
+    def _reply_ok(self, request_id: int, result: Any) -> None:
         """Frame and queue a success reply (shared by all three lanes)."""
         metrics = self._server.metrics
         try:
@@ -191,7 +180,6 @@ class Session:
                 Opcode.REPLY_OK,
                 request_id,
                 result,
-                version=version,
                 epoch=self._server.epoch,
                 max_frame=self._max_frame,
             )
@@ -199,7 +187,7 @@ class Session:
             # A codec decoded to something the frame cannot carry; the
             # request still gets a structured reply.
             self._reply_error(
-                request_id, "internal", f"unencodable reply: {exc}", version
+                request_id, "internal", f"unencodable reply: {exc}"
             )
         else:
             metrics.replies_ok += 1
@@ -236,7 +224,7 @@ class Session:
             metrics.protocol_errors += 1
             self._reply_error(0, exc.code, str(exc))
             return
-        version, request_id = frame.version, frame.request_id
+        request_id = frame.request_id
         try:
             opcode = Opcode(frame.opcode)
         except ValueError:
@@ -245,7 +233,6 @@ class Session:
                 request_id,
                 "bad-opcode",
                 f"unknown opcode {frame.opcode}",
-                version,
             )
             return
         if opcode in (Opcode.REPLY_OK, Opcode.REPLY_ERR):
@@ -254,14 +241,13 @@ class Session:
                 request_id,
                 "bad-opcode",
                 "reply opcodes are server-to-client",
-                version,
             )
             return
         metrics.record_request(opcode.name)
         if self._server.draining:
             metrics.drain_rejections += 1
             self._reply_error(
-                request_id, "shutting-down", "server is draining", version
+                request_id, "shutting-down", "server is draining"
             )
             return
         rejection = self._server.admission.try_admit(self.session_id)
@@ -274,7 +260,6 @@ class Session:
                 request_id,
                 rejection,
                 "request rejected by admission control, retry",
-                version,
             )
             return
         # Lane 1: synchronous inline reads (no task, no executor hop).
@@ -286,12 +271,12 @@ class Session:
                 raise
             except BaseException as exc:
                 self._reply_error(
-                    request_id, protocol.error_code(exc), str(exc), version
+                    request_id, protocol.error_code(exc), str(exc)
                 )
                 self._server.admission.release(self.session_id)
                 return
             if result is not INLINE_MISS:
-                self._reply_ok(request_id, result, version)
+                self._reply_ok(request_id, result)
                 self._server.admission.release(self.session_id)
                 return
         # Lane 2: mutations resolve from the aggregator's future — the
@@ -304,29 +289,23 @@ class Session:
                 raise
             except BaseException as exc:
                 self._reply_error(
-                    request_id, protocol.error_code(exc), str(exc), version
+                    request_id, protocol.error_code(exc), str(exc)
                 )
                 self._server.admission.release(self.session_id)
                 return
             self._tasks.add(future)
             future.add_done_callback(
-                lambda fut, rid=request_id, ver=version: self._mutation_done(
-                    fut, rid, ver
-                )
+                lambda fut, rid=request_id: self._mutation_done(fut, rid)
             )
             return
         # Lane 3: the general handler task.
         self._track(
             asyncio.get_running_loop().create_task(
-                self._handle(
-                    opcode, request_id, frame.payload, version, frame.epoch
-                )
+                self._handle(opcode, request_id, frame.payload, frame.epoch)
             )
         )
 
-    def _mutation_done(
-        self, future: asyncio.Future, request_id: int, version: int
-    ) -> None:
+    def _mutation_done(self, future: asyncio.Future, request_id: int) -> None:
         """Frame a mutation's reply from its aggregator future."""
         self._tasks.discard(future)
         metrics = self._server.metrics
@@ -338,9 +317,9 @@ class Session:
                 code = protocol.error_code(exc)
                 if code == "latch-timeout":
                     metrics.latch_timeouts += 1
-                self._reply_error(request_id, code, str(exc), version)
+                self._reply_error(request_id, code, str(exc))
             else:
-                self._reply_ok(request_id, future.result(), version)
+                self._reply_ok(request_id, future.result())
         finally:
             self._server.admission.release(self.session_id)
 
@@ -349,7 +328,6 @@ class Session:
         opcode: Opcode,
         request_id: int,
         payload: Any,
-        version: int,
         epoch: int,
     ) -> None:
         """Execute one admitted request and reply; never raises."""
@@ -362,9 +340,9 @@ class Session:
             code = protocol.error_code(exc)
             if code == "latch-timeout":
                 metrics.latch_timeouts += 1
-            self._reply_error(request_id, code, str(exc), version)
+            self._reply_error(request_id, code, str(exc))
         else:
-            self._reply_ok(request_id, result, version)
+            self._reply_ok(request_id, result)
         finally:
             self._server.admission.release(self.session_id)
 

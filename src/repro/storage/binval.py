@@ -2,8 +2,8 @@
 
 One byte of type tag followed by a fixed ``struct`` body (or a length
 prefix for variable-size data).  This is the value codec shared by the
-v2 data-page layout (:mod:`repro.storage.serializer`) and the protocol
-v3 binary wire payloads (:mod:`repro.server.binpayload`): record values
+v2 data-page layout (:mod:`repro.storage.serializer`) and the binary
+wire payloads (:mod:`repro.server.binpayload`): record values
 and wire scalars are the same small universe — ``None``, bools, ints,
 floats, strings, bytes, and shallow containers — so one codec serves
 both and pickle survives only as the fallback tag for anything else.
@@ -52,7 +52,7 @@ def encode_into(
 
     With ``pickle_fallback=False`` a value outside the tagged universe
     raises :class:`~repro.errors.SerializationError` instead of being
-    pickled — the wire payload codec uses this so a v3 frame never
+    pickled — the wire payload codec uses this so a frame never
     carries (or accepts) a pickle, which would be remote code execution
     waiting to happen.
     """

@@ -288,7 +288,7 @@ class TestKillOneShard:
 
 
 # ---------------------------------------------------------------------------
-# protocol v2: negotiation, topology, routing introspection
+# epoch-stamped frames: negotiation, topology, routing introspection
 
 
 class TestProtocolV2:
@@ -303,9 +303,10 @@ class TestProtocolV2:
                     host, port = router.address
                     client = await QueryClient.connect(host, port)
                     async with client:
-                        assert client.protocol_version == 1
-                        assert await client.negotiate() == 3
-                        assert client.protocol_version == 3
+                        assert client.epoch == 0
+                        await client.negotiate()
+                        # the PING reply's header carried the epoch
+                        assert client.epoch == router.epoch == 1
                         topo = await client.topology()
                         assert topo["role"] == "router"
                         assert topo["epoch"] == router.epoch == 1
@@ -323,7 +324,7 @@ class TestProtocolV2:
                                 == manager.shard_for_key(key)
                             )
                             assert routed["z"] == interleave(key, WIDTHS)
-                        # any v2 reply header refreshed the cached epoch
+                        # every reply header re-stamps the cached epoch
                         assert client.epoch == 1
 
             run(scenario())
@@ -364,7 +365,6 @@ class TestProtocolV2:
                     host, port, negotiate=True
                 )
                 async with client:
-                    assert client.protocol_version == 3
                     topo = await client.topology()
                     assert topo["role"] == "server"
                     assert topo["boundaries"] == []
@@ -373,12 +373,14 @@ class TestProtocolV2:
                     assert shard["z_high"] == (1 << (DIMS * WIDTH)) - 1
                     routed = await client.route((7, 9))
                     assert routed["shard"] == 0
-                    # a v1 client keeps working against the same server
-                    legacy = await QueryClient.connect(host, port)
-                    async with legacy:
-                        assert legacy.protocol_version == 1
-                        await legacy.insert((1, 2), "old")
-                        assert await legacy.search((1, 2)) == "old"
+                    # a plain server never asserts an epoch, and a client
+                    # that skips negotiation speaks the same frames
+                    assert client.epoch == 0
+                    plain = await QueryClient.connect(host, port)
+                    async with plain:
+                        await plain.insert((1, 2), "plain")
+                        assert await plain.search((1, 2)) == "plain"
+                        assert plain.epoch == 0
 
         run(scenario())
 
