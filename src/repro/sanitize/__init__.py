@@ -12,16 +12,17 @@ subpackage makes those claims machine-checkable:
 * :mod:`repro.sanitize.hooks` — an opt-in debug mode (``REPRO_SANITIZE=1``
   or the :func:`sanitized` context manager) that re-validates the index
   after every mutating operation, with a configurable sampling rate;
-* :mod:`repro.sanitize.lint` — a repo-specific static pass (AST-based)
-  enforcing the coding invariants no runtime check can see: no
-  ``Backend`` access outside the :class:`~repro.storage.PageStore`
-  accounting layer, no float equality on key codes, no mutable default
-  arguments, and full type annotations on the public ``core`` API;
-* :mod:`repro.sanitize.static` — the dataflow analysis engine behind
+* :mod:`repro.sanitize.static` — the one static analysis engine, behind
   ``repro analyze``: per-function CFGs, alias/type-fact tracking (the
-  typed re-implementation of REP101/REP105/REP106), the REP2xx
-  concurrency rules (blocking-in-async, latch leaks, lock-order
-  cycles) and the REP3xx durability rules (group-commit pairing).
+  typed REP101/REP105/REP106 storage-bypass and served-mutation rules),
+  the REP2xx concurrency rules (blocking-in-async, latch leaks,
+  lock-order cycles) and the REP3xx durability rules (group-commit
+  pairing);
+* :mod:`repro.sanitize.lint` — the analyzer's value rules, which need
+  only the syntax tree: no float equality on key codes, no mutable
+  default arguments, full type annotations on the public ``core`` API,
+  no JSON on the service hot path, and no direct mutation in replica
+  code.
 """
 
 from repro.sanitize.invariants import (
@@ -42,12 +43,7 @@ from repro.sanitize.hooks import (
     sanitize_rate,
     sanitized,
 )
-from repro.sanitize.lint import (
-    LintIssue,
-    format_issues,
-    lint_paths,
-    lint_source,
-)
+from repro.sanitize.lint import LintIssue, format_issues
 from repro.sanitize.static import (
     AnalysisReport,
     LockOrderGraph,
@@ -72,8 +68,6 @@ __all__ = [
     "sanitized",
     "LintIssue",
     "format_issues",
-    "lint_paths",
-    "lint_source",
     "AnalysisReport",
     "LockOrderGraph",
     "analyze_paths",

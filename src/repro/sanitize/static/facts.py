@@ -16,8 +16,8 @@ Facts come from three sources, strongest first:
 
 An assignment-tracked fact (source 1/2 propagated through ``x = y``)
 always wins over a name heuristic at a use site: that is exactly the
-``store = self._backend; store.flush()`` alias case the substring
-linter misses.
+``store = self._backend; store.flush()`` alias case a receiver-name
+matcher misses.
 """
 
 from __future__ import annotations

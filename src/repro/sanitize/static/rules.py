@@ -60,10 +60,13 @@ class Token:
 class Scope:
     """Path-derived rule scoping, computed by the engine."""
 
-    in_src: bool = False  # typed REP101/REP105 apply
+    in_src: bool = False  # typed REP101/REP105, REP102/REP103 apply
     backend_allowed: bool = False  # storage/disk.py, storage/wal.py
     server_scope: bool = False  # typed REP106 applies
     storage_internal: bool = False  # REP303 exempt (the machinery itself)
+    annotations: bool = False  # REP104 applies (core/)
+    hot_json: bool = False  # REP107 applies (server/ hot path)
+    replica: bool = False  # REP108 applies (server/replica.py)
 
 
 _BACKEND_METHODS = frozenset({"load", "store", "discard"})

@@ -2,7 +2,7 @@
 
 Every served mutation (``INSERT``, ``DELETE``, ``INSERT_MANY``,
 ``DELETE_MANY``) flows through one instance of :class:`WriteAggregator`
-— the repo lint (REP106) forbids any other service-layer code from
+— the static analyzer (REP106) forbids any other service-layer code from
 calling an index mutation method.  The aggregator is what turns PR 4's
 group commit into a *service-level* win: a single client pays one WAL
 COMMIT per mutation, but N clients whose mutations arrive within one

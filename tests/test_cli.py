@@ -58,17 +58,22 @@ class TestCommands:
         assert "fig6" in out
         assert "BMEHTree" in out
 
-    def test_lint_repo_is_clean(self, capsys):
-        assert main(["lint"]) == 0
-        assert "lint: OK" in capsys.readouterr().out
+    def test_analyze_repo_is_clean(self, capsys):
+        assert main(["analyze"]) == 0
+        assert "analyze: OK" in capsys.readouterr().out
 
-    def test_lint_flags_bad_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
+    def test_analyze_flags_bad_file(self, tmp_path, capsys):
+        bad = tmp_path / "src" / "repro" / "bad.py"
+        bad.parent.mkdir(parents=True)
         bad.write_text("def f(x=[]):\n    return x == 1.5\n")
-        assert main(["lint", str(bad)]) == 1
+        assert main(["analyze", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "REP102" in out
         assert "REP103" in out
+
+    def test_lint_is_not_a_command(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint"])
 
     def test_check_small(self, capsys):
         assert main(["check", "--n", "60", "--skip-lint"]) == 0

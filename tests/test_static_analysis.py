@@ -366,22 +366,19 @@ class TestPathScoping:
         assert codes(self.ALIAS, "src/repro/storage/wal.py") == []
 
     def test_windows_style_core_path(self, tmp_path):
-        # lint_paths' annotation scoping has a branch for
-        # backslash-separated paths; a literal 'repro\\core\\mod.py'
-        # file name on POSIX exercises it.
-        from repro.sanitize import lint_paths
-
-        victim = tmp_path / "repro\\core\\mod.py"
+        # Path scoping normalizes backslash separators; a literal
+        # 'repro\\core\\mod.py' file name on POSIX exercises it.
+        (tmp_path / "src").mkdir()
+        victim = tmp_path / "src" / "repro\\core\\mod.py"
         victim.write_text("def public(x):\n    return x\n")
-        found = lint_paths([str(victim)])
+        found = analyze_paths([victim]).issues
         assert [i.code for i in found] == ["REP104"]
 
     def test_windows_style_server_path(self, tmp_path):
-        from repro.sanitize import lint_paths
-
-        victim = tmp_path / "repro\\server\\handlers.py"
+        (tmp_path / "src").mkdir()
+        victim = tmp_path / "src" / "repro\\server\\handlers.py"
         victim.write_text("def go(file, k, v):\n    file.insert(k, v)\n")
-        found = lint_paths([str(victim)])
+        found = analyze_paths([victim]).issues
         assert [i.code for i in found] == ["REP106"]
 
 
