@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping, Sequence
 
-from repro.bench.harness import _split_stream, make_index
+from repro.bench.harness import Gates, _split_stream, make_index
 from repro.core.rangequery import scan_parallel
 from repro.storage import PageStore, WALBackend
 
@@ -342,3 +342,35 @@ def parallel_consistency_failures(results: Sequence[Mapping]) -> list[str]:
                 "must preserve the paper's accounting"
             )
     return failures
+
+
+#: The batched mode's gates: the batch's logical/physical traffic and
+#: WAL commits never grow, the batched saving never shrinks.
+BATCHED_GATES = Gates(
+    absolute=(batched_efficiency_failures,),
+    worse_if_higher=(
+        "single_logical_reads",
+        "single_logical_writes",
+        "batched_logical_reads",
+        "batched_logical_writes",
+        "batched_backend_reads",
+        "batched_backend_writes",
+        "batched_wal_commits",
+        "lambda_single_op",
+        "lambda_batched_op",
+    ),
+    worse_if_lower=("read_saving",),
+)
+
+#: The rangepar mode's gates: the parallel scan's charges never grow
+#: and it never returns fewer records.
+RANGEPAR_GATES = Gates(
+    absolute=(parallel_consistency_failures,),
+    worse_if_higher=(
+        "serial_logical_reads",
+        "parallel_logical_reads",
+        "parallel_backend_reads",
+        "rangepar_mismatches",
+    ),
+    worse_if_lower=("rangepar_records",),
+)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Type
+from typing import Callable, Mapping, Sequence, Type
 
 from repro.core import BMEHTree, MDEH, MEHTree, MultidimensionalIndex
 from repro.analysis.metrics import GrowthSeries, RunMetrics, measure_run
@@ -43,6 +43,21 @@ def _keys(workload: str, dims: int, n: int, seed: int = 1986) -> list:
         raise ValueError(f"unknown workload {workload!r}")
     _KEY_CACHE[(workload, dims, n, seed)] = keys
     return keys
+
+
+@dataclass(frozen=True)
+class Gates:
+    """One bench mode's gates, declared beside its runner.
+
+    ``absolute`` checks hold on every run, fresh or ``--compare``;
+    ``worse_if_higher`` / ``worse_if_lower`` name the metrics the
+    ``--compare`` diff gate holds within a relative tolerance of the
+    baseline.
+    """
+
+    absolute: tuple[Callable[[Sequence[Mapping]], list[str]], ...]
+    worse_if_higher: tuple[str, ...] = ()
+    worse_if_lower: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

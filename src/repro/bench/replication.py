@@ -44,7 +44,7 @@ import random
 import time
 from typing import Any, Mapping, Sequence
 
-from repro.bench.harness import _split_stream
+from repro.bench.harness import Gates, _split_stream
 from repro.bench.served import _PIPELINE_CHUNK, _drive_reads, _drive_writes
 
 #: Follower counts for the two arms: baseline and scaled fan-out.
@@ -481,3 +481,12 @@ def replication_scaling_failures(results: Sequence[Mapping]) -> list[str]:
                     "replicas — the fan-out never engaged"
                 )
     return failures
+
+
+#: The replication mode's gates.  The fan-out scaling ratio is
+#: scheduling-dependent and absolute-gated only; the oracle and
+#: latch-timeout counts diff for free.
+REPLICATION_GATES = Gates(
+    absolute=(replication_scaling_failures,),
+    worse_if_higher=("replication_mismatches", "replication_latch_timeouts"),
+)

@@ -27,7 +27,7 @@ import time
 from typing import Any, Mapping, Sequence
 
 from repro.bench.batched import _wal_commits
-from repro.bench.harness import _split_stream, make_index
+from repro.bench.harness import Gates, _split_stream, make_index
 from repro.core.facade import MultiKeyFile
 from repro.encoding import KeyCodec, UIntEncoder
 from repro.storage import PageStore
@@ -249,3 +249,12 @@ def served_coalescing_failures(results: Sequence[Mapping]) -> list[str]:
                 "disagreed with acknowledged writes"
             )
     return failures
+
+
+#: The served mode's gates.  Wall-clock served metrics are never
+#: diff-gated; the coalescing ratio is timing-dependent and has its own
+#: absolute gate.
+SERVED_GATES = Gates(
+    absolute=(served_coalescing_failures,),
+    worse_if_higher=("served_mismatches",),
+)

@@ -39,7 +39,7 @@ import asyncio
 import time
 from typing import Any, Mapping, Sequence
 
-from repro.bench.harness import _split_stream
+from repro.bench.harness import Gates, _split_stream
 from repro.bench.served import _PIPELINE_CHUNK, _drive_reads, _drive_writes
 
 #: Shard counts for the two arms: the baseline and the scaled cluster.
@@ -320,3 +320,12 @@ def sharded_scaling_failures(results: Sequence[Mapping]) -> list[str]:
                 "disagreed with acknowledged writes"
             )
     return failures
+
+
+#: The sharded mode's gates.  The CPU scaling ratios and the per-shard
+#: coalescing ratio are scheduling-dependent, so they are never
+#: diff-gated — the absolute floors gate them instead.
+SHARDED_GATES = Gates(
+    absolute=(sharded_scaling_failures,),
+    worse_if_higher=("sharded_mismatches",),
+)
