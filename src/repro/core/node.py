@@ -10,7 +10,7 @@ which is why the paper reports tree directory sizes in multiples of
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import SerializationError
 from repro.extarray import ExtendibleArray
@@ -83,6 +83,28 @@ class Node:
         if policy == "total":
             return True
         raise ValueError(f"unknown node growth policy {policy!r}")
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> Node:
+        """Exactly what generic ``copy.deepcopy`` builds, at structural
+        cost: cells that share one :class:`DirEntry` share one new entry
+        (``memo`` keyed by identity, as deepcopy keys it), each with a
+        new ``h`` list; the array's shape containers are new and ``xi``
+        is shared.  MVCC copy-on-write preserves nodes through this."""
+        twin = Node.__new__(Node)
+        memo[id(self)] = twin
+        copied = memo.get
+        cells: list[DirEntry | None] = []
+        for entry in self.array.cells():
+            if entry is not None:
+                entry_twin = copied(id(entry))
+                if entry_twin is None:
+                    entry_twin = memo[id(entry)] = entry.clone()
+                entry = entry_twin
+            cells.append(entry)
+        twin.array = self.array.with_cells(cells)
+        twin.level = self.level
+        twin.xi = self.xi
+        return twin
 
     def entries(self) -> Iterator[DirEntry]:
         """Distinct region entries (cells share entry objects)."""

@@ -158,6 +158,26 @@ class ExtendibleArray:
         """All valid index tuples, in address order."""
         return (self.index_of(a) for a in range(len(self._cells)))
 
+    def with_cells(self, cells: list[Any]) -> ExtendibleArray:
+        """A new array of this shape whose address ``a`` holds ``cells[a]``
+        (one cell per address).
+
+        Every shape container is new: :meth:`grow` extends them in place
+        (the address cache too), so a shared one would leak a later
+        doubling of either array into the other.  The history's tuples
+        of ints are shared, as ``copy.deepcopy`` shares them; directory
+        nodes build their copy-on-write copies on this.
+        """
+        twin = ExtendibleArray.__new__(ExtendibleArray)
+        twin._dims = self._dims
+        twin._depths = self._depths.copy()
+        twin._cells = cells
+        twin._history = self._history.copy()
+        twin._axis_steps = [steps.copy() for steps in self._axis_steps]
+        cache = self._addr_cache
+        twin._addr_cache = None if cache is None else cache.copy()
+        return twin
+
     # -- growth ----------------------------------------------------------------
 
     def grow(

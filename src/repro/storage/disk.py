@@ -757,7 +757,10 @@ class PageStore:
 
         Pool frames and memory-backend pages are live objects a writer
         will mutate in place — deep-copy them; a byte backend decodes a
-        fresh object per load, which is already private.
+        fresh object per load, which is already private.  ``DataPage``
+        and ``Node`` copy themselves (``__deepcopy__``) at structural
+        cost, building exactly what generic deepcopy builds, so the
+        frame lock is held for microseconds per copy (DESIGN.md §16.1).
         """
         if self._pool is not None:
             frame = self._pool.peek(page_id, _MISSING)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Iterator
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
 
 KeyCodes = tuple[int, ...]
+
+#: Value types ``copy.deepcopy`` returns as they are (its atomic set).
+_ATOMIC = frozenset({type(None), bool, int, float, str, bytes})
 
 
 class DataPage:
@@ -66,6 +70,22 @@ class DataPage:
 
     def keys(self) -> Iterator[KeyCodes]:
         return iter(self.records)
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> DataPage:
+        """Exactly what generic ``copy.deepcopy`` builds, at the cost of
+        one native dict copy: a new ``records`` dict whose key code
+        tuples (tuples of ints, which deepcopy shares) and atomic values
+        are shared, and whose other values are deep-copied through
+        ``memo``.  MVCC copy-on-write preserves pages through this."""
+        twin = DataPage.__new__(DataPage)
+        memo[id(self)] = twin
+        twin.capacity = self.capacity
+        records = self.records.copy()
+        for key, value in self.records.items():
+            if type(value) not in _ATOMIC:
+                records[key] = copy.deepcopy(value, memo)
+        twin.records = records
+        return twin
 
     def take_all(self) -> dict[KeyCodes, Any]:
         """Remove and return every record (the paper's copy-to-Q step)."""

@@ -10,6 +10,7 @@ index — so the markers visible in a snapshot identify precisely which
 oplog prefix it must equal.
 """
 
+import copy
 import random
 import shutil
 import tempfile
@@ -19,10 +20,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import KeyCodec, UIntEncoder
+from repro import BMEHTree, KeyCodec, UIntEncoder
 from repro.core import MultiKeyFile
+from repro.core.node import Node
 from repro.errors import StorageError
-from repro.storage import DataPage, FileBackend, PageStore, WALBackend
+from repro.storage import (
+    BufferPool,
+    DataPage,
+    FileBackend,
+    PageStore,
+    WALBackend,
+)
+from repro.storage.serializer import default_registry
+
+IMAGE = default_registry().encode  # a page's byte image, for equality
 
 
 def page(*records):
@@ -37,11 +48,15 @@ def make_store(kind: str, root: str) -> PageStore:
         return PageStore()
     if kind == "file":
         return PageStore(FileBackend(root + "/pages.db"))
+    if kind == "wal+pool":
+        # The served shape: a WAL behind a pool, here small enough that
+        # the storm evicts, so preservation copies live pool frames.
+        return PageStore(WALBackend(root + "/pages.db"), pool=BufferPool(8))
     assert kind == "wal"
     return PageStore(WALBackend(root + "/pages.db"))
 
 
-BACKENDS = ("memory", "file", "wal")
+BACKENDS = ("memory", "file", "wal", "wal+pool")
 
 
 class TestSnapshotLifecycle:
@@ -154,6 +169,156 @@ class TestSnapshotLifecycle:
         live = sorted(value for _, value in file.items())
         assert live == list(range(24))
         assert store.preserved_versions == 0
+
+    def test_pooled_root_keeps_its_pre_doubling_directory(self, tmp_path):
+        # The root is pinned, so it stays a live pool frame that the
+        # next split doubles in place; the snapshot must read the copy
+        # taken at open, not that frame.
+        store = make_store("wal+pool", str(tmp_path))
+        index = BMEHTree(2, 4, widths=16, store=store)
+        try:
+            keys = [(i * 4099 % 65536, i * 257 % 65536) for i in range(40)]
+            for i, key in enumerate(keys[:4]):
+                index.insert(key, i)
+            root_id = index.root_id
+            before = store.peek(root_id)
+            image = IMAGE(before)
+            depths = before.depths
+            with store.snapshot() as snap:
+                for i, key in enumerate(keys[4:], start=4):
+                    index.insert(key, i)
+                assert store.peek(root_id).depths != depths
+                frozen = snap.read(root_id)
+                assert frozen.depths == depths
+                assert IMAGE(frozen) == image
+                with snap.reading():
+                    seen = sorted(value for _, value in index.items())
+                assert seen == [0, 1, 2, 3]
+            assert sorted(v for _, v in index.items()) == list(range(40))
+            index.check_invariants()
+        finally:
+            store.close()
+
+
+# -- copy-on-write page copies --------------------------------------------
+#
+# Preservation deep-copies live pages; DataPage and Node copy themselves
+# (``__deepcopy__``) at structural cost and must build exactly what
+# generic deepcopy builds.
+
+ATOMIC = (type(None), bool, int, float, str, bytes)
+
+record_values = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.none(),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+)
+
+
+def _partition(node):
+    """Each cell's first address holding the same entry object."""
+    first: dict[int, int] = {}
+    return [
+        first.setdefault(id(cell), address)
+        for address, cell in enumerate(node.array.cells())
+    ]
+
+
+def _check_page_copy(original):
+    image = IMAGE(original)
+    twin = copy.deepcopy(original)
+    assert IMAGE(twin) == image
+    assert twin.records is not original.records
+    for (key, value), (twin_key, twin_value) in zip(
+        original.items(), twin.items()
+    ):
+        assert twin_key is key  # tuples of ints: deepcopy shares them
+        if isinstance(value, ATOMIC):
+            assert twin_value is value
+        else:
+            assert twin_value is not value and twin_value == value
+    # Mutate the copy every way a writer can; the original must not see it.
+    for value in twin.records.values():
+        if isinstance(value, list):
+            value.append(99)
+        elif isinstance(value, dict):
+            value["zz"] = 99
+    if len(twin):
+        twin.remove(next(twin.keys()))
+    twin.put((2**31 + 5, 7), ["fresh"])
+    assert IMAGE(original) == image
+
+
+def _check_node_copy(node):
+    image = IMAGE(node)
+    partition = _partition(node)
+    array = node.array
+    cache = None if array._addr_cache is None else dict(array._addr_cache)
+    twin = copy.deepcopy(node)
+    assert IMAGE(twin) == image
+    assert _partition(twin) == partition
+    assert twin.xi is node.xi
+    twin_array = twin.array
+    assert twin_array is not array
+    for name in ("_depths", "_cells", "_history", "_axis_steps"):
+        assert getattr(twin_array, name) is not getattr(array, name)
+    for mine, theirs in zip(twin_array._axis_steps, array._axis_steps):
+        assert mine is not theirs
+    if array._addr_cache is not None:
+        assert twin_array._addr_cache is not array._addr_cache
+    originals = {id(entry) for entry in node.entries()}
+    for entry, twin_entry in zip(node.entries(), twin.entries()):
+        assert id(twin_entry) not in originals
+        assert twin_entry.h is not entry.h
+    # Mutate the copy: an entry's local depths, then a doubling along
+    # every axis (which extends the address cache in place).
+    for twin_entry in twin.entries():
+        twin_entry.h[0] += 1
+    for axis in range(twin.dims):
+        twin_array.grow(axis)
+    assert IMAGE(node) == image
+    assert _partition(node) == partition
+    if cache is not None:
+        assert array._addr_cache == cache
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    records=st.dictionaries(
+        st.tuples(st.integers(0, 255), st.integers(0, 255)),
+        record_values,
+        max_size=60,
+    ),
+    shared=st.booleans(),
+)
+def test_page_copies_are_exact_and_private(records, shared):
+    index = BMEHTree(2, 4, widths=8)
+    alias = [1, 2]  # one list behind two records: the copy keeps one twin
+    for i, (key, value) in enumerate(records.items()):
+        index.insert(key, alias if shared and i < 2 else value)
+    store = index.store
+    for page_id in list(store.page_ids()):
+        obj = store.peek(page_id)
+        if isinstance(obj, Node):
+            _check_node_copy(obj)
+        else:
+            _check_page_copy(obj)
+    if shared and len(records) >= 2:
+        aliased = list(records)[:2]
+        pages = copy.deepcopy([store.peek(pid) for pid in store.page_ids()])
+        found = [
+            copied.records[key]
+            for copied in pages
+            if isinstance(copied, DataPage)
+            for key in aliased
+            if key in copied
+        ]
+        assert len(found) == 2
+        assert found[0] is found[1] and found[0] is not alias
+    index.check_invariants()
 
 
 # -- the concurrency property ---------------------------------------------
