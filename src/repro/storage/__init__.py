@@ -34,12 +34,7 @@ lying flush — deterministically (``repro.storage.faults``).
 from repro.storage.iostats import IOStats, OperationCounter
 from repro.storage.page import DataPage
 from repro.storage.disk import PageStore, MemoryBackend, FileBackend
-from repro.storage.serializer import (
-    PageCodec,
-    DataPageCodec,
-    PickleValueCodec,
-    RawBytesValueCodec,
-)
+from repro.storage.serializer import PageCodec
 from repro.storage.buffer import BufferPool
 from repro.storage.latch import ReadWriteLatch
 from repro.storage.snapshot import save_index, load_index
@@ -62,8 +57,5 @@ __all__ = [
     "MemoryBackend",
     "FileBackend",
     "PageCodec",
-    "DataPageCodec",
-    "PickleValueCodec",
-    "RawBytesValueCodec",
     "BufferPool",
 ]
