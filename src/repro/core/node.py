@@ -118,13 +118,12 @@ class Node:
         return f"Node(level={self.level}, H={self.depths}, xi={self.xi})"
 
 
-#: Format-version byte leading every v2 node image (tag 0x12); the
-#: legacy tag 0x02 layout has no version byte and stays decode-only.
+#: Format-version byte leading every node image (tag 0x12).
 _NODE_FORMAT_VERSION = 1
 
 
 class NodeCodec(PageCodec):
-    """Byte image for directory nodes (v2, tag 0x12).
+    """Byte image for directory nodes (tag 0x12).
 
     ``u8 format-version | u8 level | u8 dims | dims*u8 xi | u8 steps |
     steps*u8 axes`` then one record per distinct region entry
@@ -135,7 +134,6 @@ class NodeCodec(PageCodec):
     """
 
     tag = 0x12
-    _versioned = True
 
     def handles(self, obj: object) -> bool:
         return isinstance(obj, Node)
@@ -143,7 +141,7 @@ class NodeCodec(PageCodec):
     def encode_body(self, node: Node) -> bytes:
         history_axes = [axis for axis, _ in node.array.history()]
         parts = [
-            b"\x01" if self._versioned else b"",
+            bytes([_NODE_FORMAT_VERSION]),
             struct.pack(
                 f"<BB{node.dims}BB",
                 node.level,
@@ -178,15 +176,12 @@ class NodeCodec(PageCodec):
 
     def decode_body(self, data: bytes | memoryview) -> Node:
         try:
-            offset = 0
-            if self._versioned:
-                if data[0] != _NODE_FORMAT_VERSION:
-                    raise SerializationError(
-                        f"unsupported node format version {data[0]}"
-                    )
-                offset = 1
-            level, dims = struct.unpack_from("<BB", data, offset)
-            offset += 2
+            if data[0] != _NODE_FORMAT_VERSION:
+                raise SerializationError(
+                    f"unsupported node format version {data[0]}"
+                )
+            level, dims = struct.unpack_from("<BB", data, 1)
+            offset = 3
             xi = struct.unpack_from(f"<{dims}B", data, offset)
             offset += dims
             (steps,) = struct.unpack_from("<B", data, offset)
@@ -214,13 +209,3 @@ class NodeCodec(PageCodec):
             return node
         except (struct.error, IndexError) as exc:
             raise SerializationError(f"corrupt node image: {exc}") from exc
-
-
-class LegacyNodeCodec(NodeCodec):
-    """Decode-only support for pre-version-byte node images (tag 0x02)."""
-
-    tag = 0x02
-    _versioned = False
-
-    def handles(self, obj: object) -> bool:
-        return False  # encode always uses the current format

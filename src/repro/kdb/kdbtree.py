@@ -108,15 +108,12 @@ class _RegionPage:
 
 
 class RegionPageCodec:
-    """Byte image for K-D-B region pages (v2, tag 0x13):
+    """Byte image for K-D-B region pages (tag 0x13):
     ``u8 format-version | u8 level | u16 count | u8 dims`` then per
     entry ``dims*u64 lows | dims*u64 highs | i64 ptr | u8 is_region |
-    u8 m``.  Decodes over a ``memoryview`` without copying the slot;
-    the pre-version-byte tag 0x03 layout stays readable through
-    :class:`LegacyRegionPageCodec`."""
+    u8 m``.  Decodes over a ``memoryview`` without copying the slot."""
 
     tag = 0x13
-    _versioned = True
     _FORMAT_VERSION = 1
 
     def handles(self, obj: object) -> bool:
@@ -127,7 +124,7 @@ class RegionPageCodec:
 
         dims = len(page.entries[0].box.lows) if page.entries else 0
         parts = [
-            b"\x01" if self._versioned else b"",
+            bytes([self._FORMAT_VERSION]),
             struct.pack("<BHB", page.level, len(page.entries), dims),
         ]
         record = struct.Struct(f"<{dims}Q{dims}QqBB")
@@ -147,15 +144,12 @@ class RegionPageCodec:
         from repro.errors import SerializationError
 
         try:
-            offset = 0
-            if self._versioned:
-                if data[0] != self._FORMAT_VERSION:
-                    raise SerializationError(
-                        f"unsupported region page format version {data[0]}"
-                    )
-                offset = 1
-            level, count, dims = struct.unpack_from("<BHB", data, offset)
-            offset += struct.calcsize("<BHB")
+            if data[0] != self._FORMAT_VERSION:
+                raise SerializationError(
+                    f"unsupported region page format version {data[0]}"
+                )
+            level, count, dims = struct.unpack_from("<BHB", data, 1)
+            offset = 1 + struct.calcsize("<BHB")
             page = _RegionPage(level)
             record = struct.Struct(f"<{dims}Q{dims}QqBB")
             for _ in range(count):
@@ -175,16 +169,6 @@ class RegionPageCodec:
             return page
         except (struct.error, IndexError) as exc:
             raise SerializationError(f"corrupt region page: {exc}") from exc
-
-
-class LegacyRegionPageCodec(RegionPageCodec):
-    """Decode-only support for pre-version-byte region images (tag 0x03)."""
-
-    tag = 0x03
-    _versioned = False
-
-    def handles(self, obj: object) -> bool:
-        return False  # encode always uses the current format
 
 
 class KDBTree(MultidimensionalIndex):
