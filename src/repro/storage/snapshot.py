@@ -12,13 +12,11 @@ The one-level MDEH directory is not page-resident in this implementation
 page file: the doubling history plus the region groups, in the same
 group encoding the node codec uses.
 
-Two format versions exist.  Version 1 (magic ``BMEHSNAP``) packed each
-hash component of a directory entry as an unsigned byte, which silently
-wraps once a local depth exceeds 8 bits of prefix — version 2 (magic
-``BMEHSNP2``, the default writer) widens the component field to 16 bits.
-The loader reads both; writing version 1 is still possible for
-compatibility and raises :class:`SerializationError` instead of wrapping
-when an entry does not fit.
+A snapshot file starts with the magic ``BMEHSNP2``; a file with any
+other magic is not a snapshot.  Each hash component of a directory
+entry is packed as a u16, and the writer raises
+:class:`SerializationError` rather than wrap a component that does not
+fit.
 
 The metadata/restoration halves of this module are shared with the
 write-ahead log (:mod:`repro.storage.wal`): a WAL commit record carries
@@ -37,15 +35,12 @@ from repro.errors import SerializationError, StorageError
 from repro.storage.disk import MemoryBackend, PageStore
 from repro.storage.serializer import default_registry
 
-_MAGIC_V1 = b"BMEHSNAP"
-_MAGIC_V2 = b"BMEHSNP2"
+_MAGIC = b"BMEHSNP2"
 _HEADER = struct.Struct("<8sI")  # magic, json length
 
-#: Directory entry record per format version: hash components, local
-#: depth m, page pointer, cell count.  v1's unsigned-byte components
-#: overflow above 8-bit prefixes; v2 widens them to 16 bits.
-_DIR_RECORD_FMT = {1: "B", 2: "H"}
-_DIR_COMPONENT_MAX = {1: 0xFF, 2: 0xFFFF}
+#: Directory entry record: u16 hash components, local depth m, page
+#: pointer, cell count.  A component above the u16 maximum is rejected.
+_DIR_COMPONENT_MAX = 0xFFFF
 
 
 def index_metadata(index: Any) -> dict:
@@ -80,12 +75,8 @@ def index_metadata(index: Any) -> dict:
     return meta
 
 
-def encode_directory(index: Any, version: int = 2) -> bytes:
+def encode_directory(index: Any) -> bytes:
     """Serialize a one-level index's extendible directory array."""
-    fmt = _DIR_RECORD_FMT.get(version)
-    if fmt is None:
-        raise SerializationError(f"unknown snapshot version {version}")
-    limit = _DIR_COMPONENT_MAX[version]
     array = index._dir
     axes = bytes(axis for axis, _ in array.history())
     parts = [struct.pack("<I", len(axes)), axes]
@@ -95,13 +86,12 @@ def encode_directory(index: Any, version: int = 2) -> bytes:
         groups.setdefault(id(entry), (entry, []))[1].append(address)
     parts.append(struct.pack("<I", len(groups)))
     dims = index.dims
-    record = struct.Struct(f"<{dims}{fmt}BqI")
+    record = struct.Struct(f"<{dims}HBqI")
     for entry, addresses in groups.values():
-        if any(component > limit for component in entry.h):
+        if any(component > _DIR_COMPONENT_MAX for component in entry.h):
             raise SerializationError(
                 f"directory entry component {max(entry.h)} exceeds the "
-                f"{limit}-max field of snapshot version {version}; "
-                f"write version 2"
+                f"u16 field of the snapshot directory record"
             )
         ptr = -1 if entry.ptr is None else entry.ptr
         parts.append(record.pack(*entry.h, entry.m, ptr, len(addresses)))
@@ -109,13 +99,10 @@ def encode_directory(index: Any, version: int = 2) -> bytes:
     return b"".join(parts)
 
 
-def _decode_directory(index: Any, data: bytes, version: int = 2) -> None:
+def _decode_directory(index: Any, data: bytes) -> None:
     from repro.core.directory import DirEntry
     from repro.extarray import ExtendibleArray
 
-    fmt = _DIR_RECORD_FMT.get(version)
-    if fmt is None:
-        raise SerializationError(f"unknown snapshot version {version}")
     try:
         (axis_count,) = struct.unpack_from("<I", data, 0)
         offset = 4
@@ -127,7 +114,7 @@ def _decode_directory(index: Any, data: bytes, version: int = 2) -> None:
         (group_count,) = struct.unpack_from("<I", data, offset)
         offset += 4
         dims = index.dims
-        record = struct.Struct(f"<{dims}{fmt}BqI")
+        record = struct.Struct(f"<{dims}HBqI")
         for _ in range(group_count):
             fields = record.unpack_from(data, offset)
             offset += record.size
@@ -160,29 +147,20 @@ def save_index(
     path: str,
     page_size: int = 65536,
     opener: Callable[[str, str], Any] | None = None,
-    version: int = 2,
 ) -> None:
     """Snapshot ``index`` (tree or one-level) into ``path``.
 
     ``page_size`` bounds the byte image of any single page; the default
     is generous because snapshot files favour simplicity over the tight
     disk layout of a live system.  ``opener`` substitutes for ``open``
-    (fault-injection harnesses).  ``version`` selects the on-disk
-    format; version 1 exists for compatibility and rejects directories
-    it cannot represent instead of silently wrapping them.
+    (fault-injection harnesses).
     """
-    if version == 2:
-        magic = _MAGIC_V2
-    elif version == 1:
-        magic = _MAGIC_V1
-    else:
-        raise SerializationError(f"unknown snapshot version {version}")
     meta = index_metadata(index)
     registry = default_registry()
     out = (opener or open)(path, "wb")
     try:
         blob = json.dumps(meta).encode("utf-8")
-        out.write(_HEADER.pack(magic, len(blob)))
+        out.write(_HEADER.pack(_MAGIC, len(blob)))
         out.write(blob)
         pages = {pid: index.store.peek(pid) for pid in index.store.page_ids()}
         out.write(struct.pack("<I", len(pages)))
@@ -196,7 +174,7 @@ def save_index(
             out.write(struct.pack("<QI", pid, len(image)))
             out.write(image)
         if meta["kind"] == "onelevel":
-            directory = encode_directory(index, version=version)
+            directory = encode_directory(index)
             out.write(struct.pack("<I", len(directory)))
             out.write(directory)
         out.flush()
@@ -207,18 +185,14 @@ def save_index(
 def load_index(
     path: str, opener: Callable[[str, str], Any] | None = None
 ) -> Any:
-    """Restore an index saved by :func:`save_index` (either version)."""
+    """Restore an index saved by :func:`save_index`."""
     registry = default_registry()
     inp = (opener or open)(path, "rb")
     try:
         magic, meta_len = _HEADER.unpack(
             _read_exact(inp, _HEADER.size, "header")
         )
-        if magic == _MAGIC_V2:
-            version = 2
-        elif magic == _MAGIC_V1:
-            version = 1
-        else:
+        if magic != _MAGIC:
             raise StorageError(f"{path} is not an index snapshot")
         meta = json.loads(_read_exact(inp, meta_len, "metadata"))
         store = PageStore(MemoryBackend())
@@ -244,17 +218,13 @@ def load_index(
             directory = _read_exact(inp, dir_len, "directory stream")
     finally:
         inp.close()
-    return restore_from_metadata(
-        meta, store, directory, directory_version=version
-    )
+    return restore_from_metadata(meta, store, directory)
 
 
 def restore_from_metadata(
     meta: dict,
     store: PageStore,
     directory: bytes | None = None,
-    *,
-    directory_version: int = 2,
 ) -> Any:
     """Rehydrate an index from its metadata dict over a populated store.
 
@@ -284,9 +254,7 @@ def restore_from_metadata(
             raise SerializationError(
                 f"one-level scheme {meta['scheme']} needs a directory stream"
             )
-        index = _restore_onelevel(
-            cls, meta, store, directory, version=directory_version
-        )
+        index = _restore_onelevel(cls, meta, store, directory)
     index.store.stats.reset()
     index.store.backend_stats.reset()
     return index
@@ -313,7 +281,7 @@ def _restore_tree(index: Any, cls: type, meta: dict, store: PageStore) -> None:
 
 
 def _restore_onelevel(
-    cls: type, meta: dict, store: PageStore, directory: bytes, version: int = 2
+    cls: type, meta: dict, store: PageStore, directory: bytes
 ) -> Any:
     from repro.core.ehash import ExtendibleHashFile
 
@@ -333,7 +301,7 @@ def _restore_onelevel(
             dir_page_entries=meta["dir_page_entries"],
             element_granular_updates=meta["element_granular"],
         )
-    _decode_directory(index, directory, version=version)
+    _decode_directory(index, directory)
     index._data_pages = meta["data_pages"]
     index._num_keys = meta["num_keys"]
     return index

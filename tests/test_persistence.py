@@ -98,6 +98,15 @@ class TestSnapshotEdgeCases:
         path.write_bytes(b"not a snapshot at all......")
         with pytest.raises(StorageError):
             load_index(str(path))
+        # A well-formed body behind the retired format-1 magic is still
+        # not a snapshot: only BMEHSNP2 loads.
+        index = BMEHTree(2, 4, widths=8)
+        index.insert((1, 2), "v")
+        save_index(index, str(path))
+        with open(path, "r+b") as fh:
+            fh.write(b"BMEHSNAP")
+        with pytest.raises(StorageError, match="not an index snapshot"):
+            load_index(str(path))
 
     def test_tree_options_survive(self, tmp_path):
         index = BMEHTree(2, 4, widths=8, xi=(2, 4), node_policy="per_dim")
@@ -112,10 +121,9 @@ class TestSnapshotEdgeCases:
 class TestDeepDirectorySnapshots:
     """Directory entries whose local depths exceed 8 bits of prefix.
 
-    Format version 1 packed each hash component as an unsigned byte, so
-    any prefix value above 255 silently wrapped; version 2 (the default)
-    widens the field, and a version-1 writer now rejects what it cannot
-    represent instead of corrupting it.
+    The directory record packs each hash component as a u16, so prefix
+    values above 255 round-trip, and the writer rejects a component it
+    cannot represent instead of wrapping it.
     """
 
     def deep_file(self):
@@ -142,25 +150,12 @@ class TestDeepDirectorySnapshots:
         f = ExtendibleHashFile(4, width=12)
         for v in range(0, 4096, 61):
             f.insert(v, v)
-        # Real local depths stay far below 255 (widths are capped at
-        # 64), but if that cap ever moves the v1 writer must fail
-        # loudly instead of wrapping the byte field.
-        f._dir.get_at(0).h[0] = 300
+        # Real components stay far below the u16 field (widths are
+        # capped at 64), but if that cap ever moves the writer must
+        # fail loudly instead of wrapping the field.
+        f._dir.get_at(0).h[0] = 0x10000
         with pytest.raises(SerializationError):
-            save_index(f, str(tmp_path / "legacy.snap"), version=1)
-
-    def test_v1_snapshots_still_load(self, tmp_path):
-        f = ExtendibleHashFile(4, width=12)
-        for v in range(0, 4096, 61):
-            f.insert(v, -v)
-        path = str(tmp_path / "legacy.snap")
-        save_index(f, path, version=1)
-        with open(path, "rb") as fh:
-            assert fh.read(8) == b"BMEHSNAP"
-        back = load_index(path)
-        assert len(back) == len(f)
-        assert back.search(61) == -61
-        back.check_invariants()
+            save_index(f, str(tmp_path / "wide.snap"))
 
     def test_v2_magic_on_disk(self, tmp_path):
         index = BMEHTree(2, 4, widths=8)
