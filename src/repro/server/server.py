@@ -124,7 +124,6 @@ class QueryServer:
         read_workers: int = 4,
         latch_timeout: float | None = 5.0,
         drain_timeout: float = 10.0,
-        range_parallelism: int | None = None,
         max_frame: int = MAX_FRAME,
     ) -> None:
         self._file = file
@@ -138,7 +137,6 @@ class QueryServer:
         self._gate = ReadWriteGate()
         self._latch_timeout = latch_timeout
         self.drain_timeout = drain_timeout
-        self._range_parallelism = range_parallelism
         #: Serializes store access when point reads fan out over the
         #: executor: a byte backend's file handle seeks, the pool's LRU
         #: and the dedup ledgers are all single-threaded (the same
@@ -414,8 +412,6 @@ class QueryServer:
                     "parallelism must be a positive integer",
                     code="bad-payload",
                 )
-        if parallelism is None:
-            parallelism = self._range_parallelism
 
         def scan() -> Any:
             records = [

@@ -146,9 +146,6 @@ class FileBackend(Backend):
     def _offset(self, page_id: int) -> int:
         return self._HEADER.size + page_id * self._page_size
 
-    def _slot_count(self) -> int:
-        return self._slots
-
     def _scan_live_slots(self) -> None:
         """One pass over the slot headers at open; after this the live
         map is maintained incrementally by ``store``/``discard``."""

@@ -595,10 +595,6 @@ def metadata_blob(index: Any) -> bytes:
     return b"".join(parts)
 
 
-#: Backwards-compatible alias (pre-batching name).
-_metadata_blob = metadata_blob
-
-
 def decode_metadata_blob(blob: bytes) -> tuple[dict, bytes | None]:
     """Split a commit-record metadata blob back into the snapshot header
     dict and the (optional) encoded directory tail — the inverse of
