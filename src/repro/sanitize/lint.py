@@ -30,7 +30,8 @@ scope, which :func:`repro.sanitize.static.engine._scope_for` computes:
   store mutator (``allocate`` / ``free`` / ``mark_dirty``), or
   ``.write()`` on a store/index-named receiver.  A read replica's state
   must change **only** by applying the primary's committed WAL batches
-  through ``WALBackend.apply_replicated`` — any other mutation forks
+  through ``PageStore.apply_replicated`` (which keeps open snapshot
+  scans on their pinned pages) — any other mutation forks
   the follower's state from the primary's history, and the divergence
   survives promotion.  The mirror of REP106: that rule keeps served
   mutations inside the aggregator; this one keeps replicas read-only.
@@ -153,7 +154,7 @@ class _Linter(ast.NodeVisitor):
                     f"replica code calls .{method}() — a read replica's "
                     "state changes only by replaying the primary's "
                     "committed batches through "
-                    "WALBackend.apply_replicated(); any direct mutation "
+                    "PageStore.apply_replicated(); any direct mutation "
                     "forks the follower from the primary's history",
                 )
         if self.scope.hot_json:

@@ -8,8 +8,9 @@ follower bootstraps over the wire — ``REPL hello`` attaches a
 also takes a compaction floor), ``REPL checkpoint`` pages the committed
 images across, then a ``REPL tail`` loop drains committed batches — and
 applies everything through
-:meth:`~repro.storage.wal.WALBackend.apply_replicated` into its *own*
-WAL-backed page file.  Two properties fall out of that choice:
+:meth:`~repro.storage.disk.PageStore.apply_replicated` into its *own*
+WAL-backed page file, while it serves reads through the primary's own
+paths (:class:`ReplicaServer`).  Two properties fall out of that choice:
 
 * the follower's durable state is a standard WAL page file, so
   promotion reopens it through the stock
@@ -33,10 +34,11 @@ install turns that bump into the fencing point that cuts off any
 still-routing client of the old primary.
 
 Everything here is read-side by construction: a follower rejects every
-mutation opcode (``read-only``), applies replicated batches only
-through the storage layer's replication entry point, and analyzer
-rule REP108 statically refuses any direct index/store mutation reachable
-from this module.
+mutation opcode (``read-only``) in both session lanes, refuses the
+primary-only verbs (``MIGRATE``, ``REPL``, ``ROUTE``) as ``bad-opcode``,
+applies replicated batches only through the storage layer's replication
+entry point, and analyzer rule REP108 statically refuses any direct
+index/store mutation reachable from this module.
 """
 
 from __future__ import annotations
@@ -45,32 +47,25 @@ import asyncio
 import dataclasses
 import os
 import signal
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import Connection
-from typing import Any
+from typing import Any, cast
 
+from repro.core.facade import MultiKeyFile
 from repro.errors import ProtocolError, ShardDownError
-from repro.server.admission import AdmissionController
 from repro.server.client import QueryClient
-from repro.server.metrics import ServerMetrics
-from repro.server.protocol import (
-    MAX_FRAME,
-    MUTATION_OPCODES,
-    PROTOCOL_VERSION,
-    Opcode,
-    field,
-    key_field,
-)
-from repro.server.session import Session
+from repro.server.protocol import MUTATION_OPCODES, Opcode, field
+from repro.server.server import QueryServer
 from repro.server.shard import ShardManager
 
 #: Checkpoint-transfer page size (images per REPL checkpoint request).
 _BOOTSTRAP_CHUNK = 64
 
-#: How long a replica-side read may wait for the tail-apply latch.
-_READ_LATCH_TIMEOUT = 5.0
+#: Reads answered from replicated state, refused ``replica-stale`` past
+#: the lag bound or while a re-bootstrap replaces that state.
+_DATA_READS = frozenset({Opcode.SEARCH, Opcode.SEARCH_MANY, Opcode.RANGE})
+#: Primary-only verbs: migration (``MIGRATE evict`` would delete through
+#: the aggregator), replication streams, and routing.
+_UNSERVED_OPCODES = frozenset({Opcode.MIGRATE, Opcode.REPL, Opcode.ROUTE})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +74,6 @@ class ReplicaConfig:
 
     shard: int
     replica: int
-    dims: int
     widths: tuple[int, ...]
     page_capacity: int
     #: The follower's own WAL page file (fresh-bootstrapped on start).
@@ -111,40 +105,30 @@ class ReplicaSpec:
         return dataclasses.asdict(self)
 
 
-class ReplicaServer:
+class ReplicaServer(QueryServer):
     """A read-only follower serving one shard's replicated state.
 
-    Duck-types the :class:`~repro.server.session.ServesSessions`
-    surface, so it shares :class:`~repro.server.session.Session` with
-    the primary — same framing, same admission, same error discipline.
-    The write half is replaced by the tail-apply loop: batches are
-    applied under the store latch's exclusive side, reads run under its
-    shared side, and the index wrapper is rebuilt from each batch's
-    metadata blob and swapped atomically.
+    A :class:`~repro.server.server.QueryServer` whose write source is
+    the primary's WAL tap instead of the write aggregator: reads take
+    the primary's paths unchanged, and the tail loop applies each
+    drained tail under the gate's exclusive side, as an aggregator
+    window is applied.
     """
 
     def __init__(self, config: ReplicaConfig) -> None:
+        # No file until the bootstrap pulls one; no aggregator ever runs.
+        super().__init__(
+            cast(Any, None),
+            host=config.host,
+            max_inflight=config.max_inflight,
+            session_pipeline=config.session_pipeline,
+            read_workers=config.read_workers,
+            drain_timeout=5.0,
+        )
         self._config = config
-        self.metrics = ServerMetrics()
-        self.admission = AdmissionController(
-            config.max_inflight, config.session_pipeline
-        )
-        self.draining = False
-        self.drain_timeout = 5.0
-        self.max_frame = MAX_FRAME
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(2, config.read_workers),
-            thread_name_prefix="repro-replica",
-        )
-        self._read_mutex = threading.Lock()
-        self._server: asyncio.base_events.Server | None = None
-        self._sessions: set[Session] = set()
         self._client: QueryClient | None = None
         self._stream: int | None = None
         self._tail_task: asyncio.Task | None = None
-        self._backend: Any = None
-        self._store: Any = None
-        self._file: Any = None
         #: Replication progress: LSN of the last applied batch, and the
         #: primary's LSN as of the last successful tail round-trip.
         self._applied_lsn = 0
@@ -153,43 +137,12 @@ class ReplicaServer:
         self._batches_applied = 0
         self._rebootstraps = 0
 
-    # -- ServesSessions surface ----------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        return 0
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is None:
-            raise ProtocolError("replica is not started", code="internal")
-        return self._server.sockets[0].getsockname()[:2]
-
-    @property
-    def applied_lsn(self) -> int:
-        return self._applied_lsn
-
-    def _session_done(self, session: Session) -> None:
-        self._sessions.discard(session)
-        self.metrics.connections_closed += 1
-
-    async def _on_connect(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session = Session(self, reader, writer)
-        self._sessions.add(session)
-        self.metrics.connections_opened += 1
-        try:
-            await session.run()
-        except (ConnectionError, OSError):
-            pass
-
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> "ReplicaServer":
         await self._bootstrap()
         self._server = await asyncio.start_server(
-            self._on_connect, self._config.host, 0
+            self._on_connect, self._host, self._port
         )
         self._tail_task = asyncio.get_running_loop().create_task(
             self._tail_loop(), name="repro-replica-tail"
@@ -200,33 +153,30 @@ class ReplicaServer:
         self.draining = True
         if self._tail_task is not None:
             self._tail_task.cancel()
-            try:
-                await self._tail_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for session in list(self._sessions):
-            await session.drain(timeout=self.drain_timeout)
-            session.closed = True
-            await session._finish()
-        if self._client is not None:
-            if self._stream is not None:
-                try:
-                    await asyncio.wait_for(
-                        self._client.repl("bye", stream=self._stream), 2.0
-                    )
-                except Exception:
-                    pass  # a dead primary cannot release the tap anyway
-            await self._client.close()
-        if self._store is not None:
-            # PageStore.close() -> flush -> WALBackend.close(): the
-            # follower's applied state is durably committed on exit, so
-            # a promotion can reopen the file through recover_index.
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(self._executor, self._store.close)
-        self._executor.shutdown(wait=True)
+            await asyncio.gather(self._tail_task, return_exceptions=True)
+        await self._detach()
+        await super().shutdown()
+
+    async def _detach(self) -> None:
+        """Release this follower's tap on the primary and drop the link."""
+        client, self._client = self._client, None
+        if client is None:
+            return
+        try:
+            await asyncio.wait_for(
+                client.repl("bye", stream=self._stream), 2.0
+            )
+        except Exception:
+            pass  # a dead primary cannot release the tap anyway
+        await client.close()
+
+    def _final_checkpoint(self) -> None:
+        # PageStore.close() -> flush -> WALBackend.close(): the
+        # follower's applied state is durably committed on exit, so a
+        # promotion can reopen the file through recover_index.  Never
+        # checkpoint(): only applied batches may change a follower.
+        if self._file is not None:
+            self._file.store.close()
 
     # -- bootstrap ------------------------------------------------------------
 
@@ -240,8 +190,11 @@ class ReplicaServer:
             if os.path.exists(path):
                 os.unlink(path)
         loop = asyncio.get_running_loop()
-        backend = await loop.run_in_executor(
-            self._executor, lambda: WALBackend(self._config.wal_path)
+        # Pool-less on purpose: every read of a follower page then loads
+        # the applied image, with no frame cache to keep coherent.
+        store = await loop.run_in_executor(
+            self._executor,
+            lambda: PageStore(WALBackend(self._config.wal_path)),
         )
         client = await QueryClient.connect(
             self._config.primary_host,
@@ -260,12 +213,12 @@ class ReplicaServer:
                 limit=_BOOTSTRAP_CHUNK,
             )
             pages = field(chunk, "pages", list)
-            ops = [
+            ops: list[tuple[str, int, bytes | None]] = [
                 ("store", int(pid), bytes(image)) for pid, image in pages
             ]
             if ops:
                 await loop.run_in_executor(
-                    self._executor, backend.apply_replicated, ops, None
+                    self._executor, store.apply_replicated, ops, None
                 )
             after = field(chunk, "next", int)
             if chunk.get("done"):
@@ -273,26 +226,18 @@ class ReplicaServer:
         meta = hello.get("meta")
         if meta is not None:
             await loop.run_in_executor(
-                self._executor,
-                backend.apply_replicated,
-                [],
-                bytes(meta),
+                self._executor, store.apply_replicated, [], bytes(meta)
             )
-        self._backend = backend
-        # Pool-less on purpose: tail applies write through the backend,
-        # so a frame cache on top would serve pre-apply content.
-        self._store = PageStore(backend)
-        self._file = self._build_file(backend.metadata)
+        self._file = self._build_file(store, store.backend.metadata)
         self._client = client
         self._stream = stream
         self._applied_lsn = base_lsn
         self._primary_lsn = base_lsn
         self._primary_down = False
 
-    def _build_file(self, blob: bytes | None) -> Any:
+    def _build_file(self, store: Any, blob: bytes | None) -> MultiKeyFile:
         """The typed facade over the replicated state (fresh empty index
         when the primary has never committed)."""
-        from repro.core.facade import MultiKeyFile
         from repro.encoding import KeyCodec, UIntEncoder
         from repro.storage.snapshot import restore_from_metadata
         from repro.storage.wal import decode_metadata_blob
@@ -302,10 +247,10 @@ class ReplicaServer:
             return MultiKeyFile(
                 codec,
                 page_capacity=self._config.page_capacity,
-                store=self._store,
+                store=store,
             )
         meta, directory = decode_metadata_blob(blob)
-        index = restore_from_metadata(meta, self._store, directory)
+        index = restore_from_metadata(meta, store, directory)
         return MultiKeyFile.from_index(codec, index)
 
     # -- the tail loop ---------------------------------------------------------
@@ -331,62 +276,59 @@ class ReplicaServer:
                 # The tap dropped batches we never saw; the tail is
                 # unrecoverable — rebuild from a fresh checkpoint.
                 self._rebootstraps += 1
-                try:
-                    await client.repl("bye", stream=self._stream)
-                except Exception:
-                    pass
-                await client.close()
                 await self._rebootstrap()
                 continue
             self._primary_lsn = field(reply, "lsn", int)
             batches = field(reply, "batches", list)
             if batches:
-                await loop.run_in_executor(
-                    self._executor, self._apply_batches, batches
-                )
+                async with self._gate.write_locked():
+                    await loop.run_in_executor(
+                        self._executor, self._apply_batches, batches
+                    )
 
     async def _rebootstrap(self) -> None:
-        store, self._store = self._store, None
-        self._client = None
-        self._stream = None
-        if store is not None:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(self._executor, store.close)
-        await self._bootstrap()
+        """Replace the whole replicated state under the gate's exclusive
+        side.  Reads answer ``replica-stale`` until the new file is in
+        place (``_check_fresh``), so the router falls back to the
+        primary instead of reading a closed store."""
+        await self._detach()
+        loop = asyncio.get_running_loop()
+        async with self._gate.write_locked():
+            file, self._file = self._file, None
+            if file is not None:
+                # Snapshot scans run with the gate released: let them
+                # finish before their store closes under them.
+                while file.store.open_snapshots:
+                    await asyncio.sleep(0.01)
+                await loop.run_in_executor(self._executor, file.store.close)
+            await self._bootstrap()
 
     def _apply_batches(self, batches: list[Any]) -> None:
-        """Apply one drained tail (executor thread).
+        """Apply one drained tail (executor thread; the event loop holds
+        the gate's exclusive side, this the latch's).
 
-        The store latch's exclusive side excludes every reader for the
-        duration: the batch lands as one atomic step, and the index
-        wrapper is rebuilt from the last batch's metadata blob before
-        readers resume — a reader can never observe pages from batch
-        ``n+1`` through an index header from batch ``n``.
+        The facade is rebuilt from the last batch's metadata blob before
+        readers resume, so no reader sees batch ``n+1``'s pages through
+        batch ``n``'s index header; snapshot scans under way keep their
+        pinned pages (``PageStore.apply_replicated`` preserves them).
         """
-        store = self._store
-        last_meta: bytes | None = None
+        store = self._file.store
         with store.latch.write():
             for lsn, ops, meta in batches:
-                decoded = [
-                    (
-                        op,
-                        int(pid),
-                        None if image is None else bytes(image),
-                    )
-                    for op, pid, image in ops
-                ]
-                blob = None if meta is None else bytes(meta)
-                self._backend.apply_replicated(decoded, blob)
+                store.apply_replicated(ops, meta)
                 self._applied_lsn = int(lsn)
                 self._batches_applied += 1
-                if blob is not None:
-                    last_meta = blob
-            if last_meta is not None:
-                self._file = self._build_file(last_meta)
+            if any(meta is not None for _, _, meta in batches):
+                self._file = self._build_file(store, store.backend.metadata)
 
     # -- dispatch --------------------------------------------------------------
 
     def _check_fresh(self) -> None:
+        if self._file is None:
+            raise ProtocolError(
+                "replica is re-bootstrapping from the primary",
+                code="replica-stale",
+            )
         max_lag = self._config.max_lag
         if max_lag is None:
             return
@@ -402,111 +344,53 @@ class ReplicaServer:
         self, opcode: Opcode, payload: Any, epoch: int = 0
     ) -> Any:
         if opcode in MUTATION_OPCODES:
+            raise _read_only()
+        if opcode in _UNSERVED_OPCODES:
             raise ProtocolError(
-                "replica is read-only — route mutations to the primary",
-                code="read-only",
+                f"opcode {opcode} is not served by a replica",
+                code="bad-opcode",
             )
-        if opcode == Opcode.PING:
-            return {
-                "pong": True,
-                "version": PROTOCOL_VERSION,
-                "max_frame": self.max_frame,
-                "role": "replica",
-            }
-        if opcode == Opcode.SEARCH:
+        if opcode in _DATA_READS:
             self._check_fresh()
-            key = key_field(payload)
-            return await self._run_read(
-                lambda: {"value": self._file.search(key)}
-            )
-        if opcode == Opcode.SEARCH_MANY:
+        return await super().dispatch(opcode, payload, epoch)
+
+    def try_dispatch_inline(self, opcode: Opcode, payload: Any) -> Any:
+        if opcode in _DATA_READS:
             self._check_fresh()
-            keys = field(payload, "keys", list)
-            for key in keys:
-                if not isinstance(key, list):
-                    raise ProtocolError(
-                        "keys must be [key, ...]", code="bad-payload"
-                    )
-            return await self._run_read(
-                lambda: {"values": self._file.search_many(keys)}
-            )
-        if opcode == Opcode.RANGE:
-            self._check_fresh()
-            return await self._range(payload)
-        if opcode == Opcode.STATS:
-            return await self._run_read(self._stats, latched=False)
-        if opcode == Opcode.TOPOLOGY:
-            return {"role": "replica", "epoch": 0, "shards": []}
-        raise ProtocolError(
-            f"opcode {opcode} is not served by a replica", code="bad-opcode"
-        )
+        return super().try_dispatch_inline(opcode, payload)
 
-    async def _range(self, payload: Any) -> Any:
-        lows = field(payload, "lows", list)
-        highs = field(payload, "highs", list)
-        parallelism = None
-        if isinstance(payload, dict) and payload.get("parallelism") is not None:
-            parallelism = payload["parallelism"]
-            if not isinstance(parallelism, int) or parallelism < 1:
-                raise ProtocolError(
-                    "parallelism must be a positive integer",
-                    code="bad-payload",
-                )
+    def submit_mutation_nowait(
+        self, opcode: Opcode, payload: Any
+    ) -> "asyncio.Future[Any]":
+        raise _read_only()
 
-        def scan() -> Any:
-            records = [
-                [list(key), value]
-                for key, value in self._file.range_search(
-                    lows, highs, parallelism=parallelism
-                )
-            ]
-            return {"items": records, "count": len(records)}
+    def _ping_reply(self) -> dict[str, Any]:
+        return {**super()._ping_reply(), "role": "replica"}
 
-        # A fanned scan's workers take the latch's shared side per page
-        # themselves (read_shared); holding it here too would deadlock
-        # the non-reentrant latch — same split as the primary's _range.
-        return await self._run_read(
-            scan, latched=not (parallelism and parallelism > 1)
-        )
-
-    async def _run_read(self, fn: Any, latched: bool = True) -> Any:
-        loop = asyncio.get_running_loop()
-        result = await loop.run_in_executor(
-            self._executor, self._latched_read, fn, latched
-        )
-        self.metrics.reads_served += 1
-        return result
-
-    def _latched_read(self, fn: Any, latched: bool) -> Any:
-        if not latched:
-            return fn()
-        with self._store.latch.read(timeout=_READ_LATCH_TIMEOUT):
-            with self._read_mutex:
-                return fn()
+    def _topology(self) -> dict[str, Any]:
+        return {"role": "replica", "epoch": 0, "shards": []}
 
     def _stats(self) -> dict[str, Any]:
-        file = self._file
-        index = file.index
-        return {
-            "role": "replica",
-            "scheme": type(index).__name__,
-            "keys": len(index),
-            "replica": {
-                "shard": self._config.shard,
-                "replica": self._config.replica,
-                "applied_lsn": self._applied_lsn,
-                "primary_lsn": self._primary_lsn,
-                "lag": max(0, self._primary_lsn - self._applied_lsn),
-                "primary_down": self._primary_down,
-                "batches_applied": self._batches_applied,
-                "rebootstraps": self._rebootstraps,
-            },
-            "server": self.metrics.snapshot(),
-            "process": {
-                "pid": os.getpid(),
-                "cpu_seconds": time.process_time(),
-            },
+        stats = super()._stats()
+        stats["role"] = "replica"
+        stats["replica"] = {
+            "shard": self._config.shard,
+            "replica": self._config.replica,
+            "applied_lsn": self._applied_lsn,
+            "primary_lsn": self._primary_lsn,
+            "lag": max(0, self._primary_lsn - self._applied_lsn),
+            "primary_down": self._primary_down,
+            "batches_applied": self._batches_applied,
+            "rebootstraps": self._rebootstraps,
         }
+        return stats
+
+
+def _read_only() -> ProtocolError:
+    return ProtocolError(
+        "replica is read-only — route mutations to the primary",
+        code="read-only",
+    )
 
 
 # -- the follower process ------------------------------------------------------
@@ -619,7 +503,6 @@ class ReplicaManager:
             config = ReplicaConfig(
                 shard=shard,
                 replica=i,
-                dims=self._manager.dims,
                 widths=self._manager.widths,
                 page_capacity=self._manager.page_capacity,
                 wal_path=self.replica_path(worker_id, i),

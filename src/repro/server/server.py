@@ -413,10 +413,10 @@ class QueryServer:
                     code="bad-payload",
                 )
 
-        def scan() -> Any:
+        def scan(file: MultiKeyFile) -> Any:
             records = [
                 [list(key), value]
-                for key, value in self._file.range_search(
+                for key, value in file.range_search(
                     lows, highs, parallelism=parallelism
                 )
             ]
@@ -424,25 +424,29 @@ class QueryServer:
 
         return await self._read_at_snapshot(scan)
 
-    async def _read_at_snapshot(self, fn: Callable[[], Any]) -> Any:
+    async def _read_at_snapshot(
+        self, fn: Callable[[MultiKeyFile], Any]
+    ) -> Any:
         """The MVCC read path: pin a snapshot at a committed window
         boundary (the gate's shared side covers only the *open*, which
         is cheap), then run ``fn`` latch-free against the pinned page
         versions with the gate released — a long scan never blocks the
         write aggregator, and a write storm can never turn the scan into
-        a ``latch-timeout``."""
+        a ``latch-timeout``.  ``fn`` gets the file read under the gate,
+        whose store the snapshot pins: a replica swaps its file per
+        applied tail, only under the gate's exclusive side."""
         loop = asyncio.get_running_loop()
-        store = self._file.store
         async with self._gate.read_locked():
+            file = self._file
             snap = await loop.run_in_executor(
                 self._executor,
-                lambda: store.snapshot(timeout=self._latch_timeout),
+                lambda: file.store.snapshot(timeout=self._latch_timeout),
             )
         try:
 
             def run() -> Any:
                 with snap.reading():
-                    return fn()
+                    return fn(file)
 
             result = await loop.run_in_executor(self._executor, run)
         finally:
@@ -457,14 +461,17 @@ class QueryServer:
         codec = self._file.codec
         return interleave(codec.encode(key), codec.widths)
 
-    def _migration_snapshot(self) -> list[tuple[int, list[Any], Any]]:
+    @staticmethod
+    def _migration_snapshot(
+        file: MultiKeyFile,
+    ) -> list[tuple[int, list[Any], Any]]:
         """Every record as ``(z, key, value)`` — run through
         :meth:`_read_at_snapshot`, so the iteration sees one pinned MVCC
         state and never blocks (or is blocked by) the write window."""
-        codec = self._file.codec
+        codec = file.codec
         widths = codec.widths
         out: list[tuple[int, list[Any], Any]] = []
-        for codes, value in self._file.index.items():
+        for codes, value in file.index.items():
             out.append(
                 (interleave(tuple(codes), widths), list(codec.decode(codes)),
                  value)

@@ -63,7 +63,9 @@ _DRAIN_HIGH_WATER = 256 * 1024
 class ServesSessions(Protocol):
     """The surface a :class:`Session` needs from its server.
 
-    Satisfied by :class:`~repro.server.server.QueryServer` and
+    Satisfied by :class:`~repro.server.server.QueryServer` (and so by
+    its read-replica subclass,
+    :class:`~repro.server.replica.ReplicaServer`) and
     :class:`~repro.server.router.ShardRouter`.  The fast-path hooks
     (``try_dispatch_inline``, ``submit_mutation_nowait``) and the
     ``max_frame`` cap are optional — the session probes them with

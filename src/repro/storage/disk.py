@@ -556,6 +556,28 @@ class PageStore:
                 self._backend.discard(page_id)
         self._live -= 1
 
+    def apply_replicated(
+        self,
+        ops: list[tuple[str, int, bytes | None]],
+        metadata: bytes | None = None,
+    ) -> None:
+        """Apply one shipped replication batch, a follower's only write
+        path.  Each page it stores or discards is preserved for open
+        snapshots and re-stamped first, as :meth:`write` and :meth:`free`
+        do; the frame lock also covers the backend hop, because snapshot
+        reads load through the same seeking file handle."""
+        with self._frame_lock:
+            touched = {page_id for _, page_id, _ in ops}
+            for page_id in touched:
+                if self._pinned_epochs:
+                    self._preserve(page_id)
+                    self._page_stamp[page_id] = self._mvcc_epoch
+                if self._pool is not None:
+                    self._pool.drop(page_id)
+            self._live -= sum(1 for pid in touched if pid in self._backend)
+            self._backend.apply_replicated(ops, metadata)
+            self._live += sum(1 for pid in touched if pid in self._backend)
+
     # -- access ------------------------------------------------------------
 
     def read(self, page_id: int) -> Any:

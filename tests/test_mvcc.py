@@ -122,6 +122,40 @@ class TestSnapshotLifecycle:
         assert store.preserved_versions == 0
         assert store.open_snapshots == 0
 
+    def test_replicated_batch_preserves_for_open_snapshots(self, tmp_path):
+        # A follower's tail lands through apply_replicated while a
+        # snapshot scan runs latch-free: the scan keeps the pre-apply
+        # images and live set, the store moves on.
+        store = PageStore(WALBackend(str(tmp_path / "follower.pages")))
+        try:
+            store.apply_replicated(
+                [
+                    ("store", 0, IMAGE(page(((1, 1), "a")))),
+                    ("store", 1, IMAGE(page(((2, 2), "b")))),
+                ]
+            )
+            assert store.page_count == 2
+            with store.snapshot() as snap:
+                store.apply_replicated(
+                    [
+                        ("store", 0, IMAGE(page(((1, 1), "a2")))),
+                        ("discard", 1, None),
+                        ("store", 2, IMAGE(page(((3, 3), "c")))),
+                    ]
+                )
+                assert sorted(snap.page_ids()) == [0, 1]
+                assert 2 not in snap
+                assert dict(snap.read(0).items()) == {(1, 1): "a"}
+                assert dict(snap.read(1).items()) == {(2, 2): "b"}
+                assert dict(store.read(0).items()) == {(1, 1): "a2"}
+                assert 1 not in store
+                assert store.page_count == 2
+                assert store.preserved_versions == 2
+            assert store.preserved_versions == 0
+            assert store.open_snapshots == 0
+        finally:
+            store.close()
+
     def test_closed_snapshot_rejects_reads(self):
         store = PageStore()
         pid = store.allocate(page(((1, 1), "a")))

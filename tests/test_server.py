@@ -746,7 +746,11 @@ class TestRequestIdWraparound:
 
 
 class TestAdmissionUnderflow:
-    def test_double_release_clamps_at_zero(self):
+    # The clamp tests pin sanitizing off: a sanitized run raises on the
+    # first underflow by design (test_sanitized_runs_raise_on_underflow).
+
+    def test_double_release_clamps_at_zero(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         admission = AdmissionController(max_inflight=4, per_session=2)
         assert admission.try_admit(1) is None
         admission.release(1)
@@ -758,7 +762,8 @@ class TestAdmissionUnderflow:
             assert admission.try_admit(session) is None
         assert admission.try_admit(5) == "busy"
 
-    def test_release_for_a_session_holding_nothing_is_ignored(self):
+    def test_release_for_a_session_holding_nothing_is_ignored(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         admission = AdmissionController(max_inflight=4, per_session=2)
         assert admission.try_admit(1) is None
         # session 2 never admitted anything; its spurious release must
@@ -769,7 +774,8 @@ class TestAdmissionUnderflow:
         admission.release(1)
         assert admission.inflight == 0
 
-    def test_seeded_interleaving_never_corrupts_the_budget(self):
+    def test_seeded_interleaving_never_corrupts_the_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         # Reproducer for the production shape: racing session teardowns
         # firing releases that sometimes lack a matching admit.
         rng = random.Random(20260807)
